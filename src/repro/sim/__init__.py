@@ -39,7 +39,6 @@ from .executors import (
     ExecutorStats,
     SerialExecutor,
     SupervisedPoolExecutor,
-    executor_for,
 )
 from .faults import FaultInjector, FaultSpec, WorkerCrash, parse_fault
 from .resilience import (
@@ -67,7 +66,6 @@ __all__ = [
     "ResilientRunner",
     "SerialExecutor",
     "SupervisedPoolExecutor",
-    "executor_for",
     "RetryPolicy",
     "RunnerStats",
     "WorkerCrash",

@@ -10,10 +10,9 @@ that silently slows the per-access loop fails the
 
 ``python -m repro bench --mode sweep`` measures the *end-to-end* sweep
 pipeline instead (:func:`run_sweep_bench`): the same grid timed at
-``--jobs 1``, at ``--jobs N`` with the shared trace substrate disabled,
-and at ``--jobs N`` with it enabled — reporting cells per second and
-the substrate's wall-clock speedup, with a built-in gate that all
-three modes produced identical rows.
+``--jobs 1`` and at ``--jobs N`` — reporting cells per second and the
+parallel speedup, with a built-in gate that both modes produced
+identical rows.
 
 Methodology:
 
@@ -258,20 +257,19 @@ def _clear_sweep_state() -> None:
     """Reset every cross-sweep memo so a timed rep starts cold.
 
     Pool workers fork from the benchmarking process, so anything left
-    in the parent's process-wide caches (shared traces, the per-worker
-    baseline memo, directory-backed warm caches) would be inherited and
-    silently hide the redundant work the benchmark exists to measure.
+    in the parent's process-wide caches (shared traces, the ephemeral
+    and directory-backed warm caches) would be inherited — or, for a
+    serial rep, reused directly — and silently hide the redundant work
+    the benchmark exists to measure.
     """
-    from . import sweep as _sweep
     from . import warmstate as _warmstate
     from .experiment import SHARED_TRACES
     SHARED_TRACES.clear()
-    _sweep._BASELINE_MEMO.clear()
+    _warmstate.ephemeral_warm_cache().clear()
     _warmstate._SHARED.clear()
 
 
-def _time_sweep_once(spec, n_accesses: int, jobs: int, substrate: bool,
-                     warm_reuse: bool):
+def _time_sweep_once(spec, n_accesses: int, jobs: int):
     """One cold wall-clock measurement of one run_sweep() mode.
 
     Cold means: process-wide caches cleared, a fresh trace cache, and a
@@ -289,8 +287,7 @@ def _time_sweep_once(spec, n_accesses: int, jobs: int, substrate: bool,
         runner = ResilientRunner(jobs=jobs, checkpoint_dir=tmp)
         start = time.perf_counter()
         rows = run_sweep(spec, n_accesses=n_accesses,
-                         traces=TraceCache(), runner=runner,
-                         substrate=substrate, warm_reuse=warm_reuse)
+                         traces=TraceCache(), runner=runner)
         return time.perf_counter() - start, rows
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -314,27 +311,22 @@ def run_sweep_bench(apps: Optional[Iterable[str]] = None,
                     label: Optional[str] = None) -> dict:
     """Measure end-to-end sweep throughput; returns the trajectory point.
 
-    Times the same grid three ways:
+    Times the same grid two ways:
 
     * ``serial`` — ``--jobs 1``, the reference execution;
-    * ``parallel_plain`` — ``--jobs N`` with the shared trace substrate
-      and warm-state reuse disabled (every worker regenerates traces
-      and re-runs normalization baselines, as pre-substrate sweeps
-      did);
-    * ``substrate`` — ``--jobs N`` with both enabled (the default
-      parallel path).
+    * ``substrate`` — ``--jobs N``: the parallel pipeline, with traces
+      published once as shared-memory segments and baseline results
+      reused across workers.
 
-    The three modes must produce identical rows — the benchmark raises
+    Both modes must produce identical rows — the benchmark raises
     :class:`~repro.errors.ConfigError` if they diverge, so a perf
     trajectory point can never be recorded for a broken optimization.
 
-    Methodology: rounds are *interleaved* (serial, plain, substrate,
-    serial, plain, ...) so machine-load drift lands on every mode
-    equally rather than on whichever mode happened to run last. Each
-    mode reports its best wall time (the standard noise floor), but the
-    headline ``speedup_substrate`` is the **median of the per-round
-    plain/substrate ratios** — a paired estimator, robust against a
-    single lucky round in either mode.
+    Methodology: rounds are *interleaved* (serial, substrate, serial,
+    ...) so machine-load drift lands on both modes equally rather than
+    on whichever mode happened to run last. Each mode reports its best
+    wall time (the standard noise floor); ``aggregate_cells_per_s`` is
+    the substrate mode's.
     """
     if n_accesses <= 0:
         raise ConfigError(f"n_accesses must be positive, got {n_accesses}")
@@ -348,17 +340,12 @@ def run_sweep_bench(apps: Optional[Iterable[str]] = None,
     n_cells = (len(spec.apps) * len(spec.configs) * len(spec.cores)
                * len(spec.conditions) * len(spec.seeds))
 
-    modes = {
-        "serial": dict(jobs=1, substrate=False, warm_reuse=True),
-        "parallel_plain": dict(jobs=jobs, substrate=False,
-                               warm_reuse=False),
-        "substrate": dict(jobs=jobs, substrate=True, warm_reuse=True),
-    }
+    modes = {"serial": 1, "substrate": jobs}
     times: Dict[str, list] = {name: [] for name in modes}
     row_blobs: Dict[str, str] = {}
     for _ in range(repeats):
-        for name, kw in modes.items():
-            seconds, rows = _time_sweep_once(spec, n_accesses, **kw)
+        for name, mode_jobs in modes.items():
+            seconds, rows = _time_sweep_once(spec, n_accesses, mode_jobs)
             times[name].append(seconds)
             row_blobs[name] = json.dumps(rows, sort_keys=True,
                                          default=str)
@@ -378,11 +365,8 @@ def run_sweep_bench(apps: Optional[Iterable[str]] = None,
             "cells_per_s": round(n_cells / best, 2),
         }
 
-    plain = results["parallel_plain"]["best_s"]
     full = results["substrate"]["best_s"]
     serial = results["serial"]["best_s"]
-    round_speedups = [p / f for p, f in
-                      zip(times["parallel_plain"], times["substrate"])]
     report = {
         "schema": SCHEMA,
         "mode": "sweep",
@@ -401,10 +385,6 @@ def run_sweep_bench(apps: Optional[Iterable[str]] = None,
         "modes": results,
         "rows_identical": True,
         "aggregate_cells_per_s": results["substrate"]["cells_per_s"],
-        "speedup_substrate": round(_median(round_speedups), 3),
-        "speedup_substrate_rounds": [round(s, 3)
-                                     for s in round_speedups],
-        "speedup_substrate_best": round(plain / full, 3),
         "speedup_vs_serial": round(serial / full, 3),
     }
     return report

@@ -75,6 +75,10 @@ STATUS_TIMEOUT = "timeout"
 #: ``max_cell_crashes`` times, so it is presumed lethal and not retried.
 STATUS_CRASHED = "crashed"
 
+#: Seconds :meth:`SupervisedPoolExecutor.close` waits for a worker to
+#: exit after SIGTERM (and again after the SIGKILL that follows).
+WORKER_REAP_TIMEOUT_S = 5.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -406,17 +410,25 @@ class SupervisedPoolExecutor(Executor):
         Termination is deliberate, not graceful: close runs on the
         normal path with no cells in flight (cheap no-op) and on the
         ``KeyboardInterrupt`` path where in-flight simulations must not
-        pin the interpreter's exit for minutes.
+        pin the interpreter's exit for minutes. Each worker is then
+        joined with a bounded wait, and one that outlives SIGTERM is
+        SIGKILLed, so close returns with no live worker.
         """
         pool, self._pool = self._pool, None
         if pool is None:
             return
-        for proc in list(getattr(pool, "_processes", {}).values()):
+        procs = list(getattr(pool, "_processes", {}).values())
+        for proc in procs:
             try:
                 proc.terminate()
             except OSError:  # pragma: no cover - already gone
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
+        for proc in procs:
+            proc.join(WORKER_REAP_TIMEOUT_S)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(WORKER_REAP_TIMEOUT_S)
 
     # -- dispatch ----------------------------------------------------
 
@@ -447,9 +459,8 @@ class SupervisedPoolExecutor(Executor):
         # into solo suspect batches (prepended — attribution first) and
         # an innocents batch; healthy runs never leave the first batch.
         batches: "deque[List[CellTask]]" = deque()
-        first = sorted(tasks, key=lambda t: t.index)
-        if first:
-            batches.append(first)
+        if tasks:
+            batches.append(list(tasks))  # dispatched in the given order
         try:
             while batches:
                 batch = batches.popleft()
@@ -562,24 +573,3 @@ class SupervisedPoolExecutor(Executor):
             (marker_dir / f"cell-{task.index}").unlink()
         except OSError:
             pass
-
-
-def executor_for(jobs: int,
-                 timeout_s: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 max_worker_restarts: Optional[int] = None,
-                 max_cell_crashes: int = 2,
-                 kill_plan: Optional[Dict[int, int]] = None) -> Executor:
-    """The default executor for a worker count: serial for 1, else a
-    supervised pool. This is the single construction point the runner
-    uses — swapping in a future multi-node backend means extending this
-    factory, not the runner.
-    """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return SerialExecutor(timeout_s=timeout_s, retry=retry)
-    return SupervisedPoolExecutor(
-        jobs, timeout_s=timeout_s, retry=retry,
-        max_worker_restarts=max_worker_restarts,
-        max_cell_crashes=max_cell_crashes, kill_plan=kill_plan)

@@ -44,7 +44,8 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Collection, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
 from .. import ioutil
 from ..errors import CellTimeout, ConfigError, ReproError, TransientError
@@ -53,7 +54,7 @@ from .checkpoint import (
     heartbeat_path,
     sweep_stale_heartbeats,
 )
-from .executors import (  # noqa: F401 — re-exported (historical home)
+from .executors import (
     STATUS_CRASHED,
     STATUS_ERROR,
     STATUS_OK,
@@ -61,11 +62,8 @@ from .executors import (  # noqa: F401 — re-exported (historical home)
     CellTask,
     Executor,
     RetryPolicy,
-    SerialExecutor,
     SupervisedPoolExecutor,
-    _execute_cell,
     call_with_timeout,
-    executor_for,
 )
 
 #: Keys the runner adds to every row it returns.
@@ -458,7 +456,8 @@ class ResilientRunner:
 
     def run_cells(self, cells: Sequence[Tuple[Dict[str, Any],
                                               Callable[[], Dict[str, Any]]]],
-                  jobs: Optional[int] = None) -> List[Dict[str, Any]]:
+                  jobs: Optional[int] = None,
+                  first: Collection[int] = ()) -> List[Dict[str, Any]]:
         """Execute a batch of ``(key, fn)`` cells; rows in input order.
 
         With ``jobs == 1`` this is exactly ``[run_cell(k, f) for ...]``.
@@ -470,9 +469,14 @@ class ResilientRunner:
         worker handles its own retries and per-cell timeout. Journal
         records are appended in completion order — resume semantics
         only depend on the set of records, not their order — and the
-        returned list preserves the submission order, so downstream
-        CSVs are byte-identical to a serial run. Cell callables must be
+        returned list preserves the input order, so downstream CSVs are
+        byte-identical to a serial run. Cell callables must be
         picklable in parallel mode.
+
+        ``first`` holds indices (into ``cells``) the pool dispatches
+        ahead of the rest — e.g. cells whose results their siblings
+        reuse. It changes only the dispatch order: fault ordinals and
+        rows still follow the input order.
         """
         jobs = self.jobs if jobs is None else jobs
         if jobs < 1:
@@ -481,9 +485,9 @@ class ResilientRunner:
         if jobs == 1:
             return [self.run_cell(key, fn) for key, fn in cells]
         rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-        # The task ordinal counts non-resumed cells in submission
-        # order, exactly like run_cell's, so fault specs target the
-        # same cell whichever mode executes the grid.
+        # The task ordinal counts non-resumed cells in input order,
+        # exactly like run_cell's, so fault specs target the same cell
+        # whichever mode executes the grid.
         pending: List[CellTask] = []
         for index, (key, fn) in enumerate(cells):
             self.stats.total += 1
@@ -502,6 +506,9 @@ class ResilientRunner:
                                 if self.faults is not None else ()),
                     heartbeat=self._heartbeat_for(key)))
                 self._ordinal += 1
+        if first:
+            ahead = set(first)
+            pending.sort(key=lambda task: task.index not in ahead)
         if pending:
             executor = self.executor
             if executor is None:

@@ -34,7 +34,8 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple, Union)
 
 from ..errors import ConfigError, ReproError
 from ..ioutil import atomic_write_text
@@ -47,7 +48,8 @@ from .config import L1Config, SystemConfig, inorder_system, ooo_system
 from .executors import STATUS_OK
 from .experiment import TraceCache, run_app
 from .resilience import ResilientRunner
-from .warmstate import ephemeral_warm_cache, warm_cache_for
+from .warmstate import WarmStateCache, ephemeral_warm_cache, \
+    warm_cache_for
 
 #: The columns every sweep row carries, in CSV order. ``status`` is
 #: "ok" for a completed cell; "error"/"timeout"/"crashed"/"resumable"
@@ -157,10 +159,9 @@ def grid_cells(spec: SweepSpec):
 
     Yields ``(key, app, name, cfg, core, condition, seed)`` per cell —
     the one nesting order (cores, conditions, seeds, configs, apps)
-    every consumer shares: the serial loop, the parallel task builder,
-    the store dedupe pre-pass, and the jobs front end. Sharing the
-    iterator is what keeps a store-composed CSV byte-identical to an
-    executed one.
+    every consumer shares: the cell task builder, the store lookups,
+    and the jobs front end. Sharing the iterator is what keeps a
+    store-composed CSV byte-identical to an executed one.
     """
     for core in spec.cores:
         for condition in spec.conditions:
@@ -178,8 +179,8 @@ def _result_row(app: str, name: str, core: str,
 
     The single source of truth for how a ``SimResult`` (plus its
     optional normalization baseline) becomes row values — executed
-    cells, pool workers, and store hits all call this, so a row's
-    bytes cannot depend on *where* the result came from.
+    cells and store hits both call this, so a row's bytes cannot
+    depend on *where* the result came from.
     """
     return {
         "app": app,
@@ -197,185 +198,136 @@ def _result_row(app: str, name: str, core: str,
     }
 
 
-#: Per-worker-process memo of baseline SimResults, keyed by the full
-#: deterministic coordinates of the baseline run. L1Config is frozen
-#: (hashable), so the key is exact; simulations are seeded, so a memoized
-#: result is identical to a recomputed one.
-_BASELINE_MEMO: Dict[tuple, object] = {}
+def _publish(store: Optional[ResultStore], trace, system: SystemConfig,
+             key: Dict[str, object], result) -> None:
+    """Publish one simulated result to the persistent store, if any,
+    with the cell key and length as its human-readable provenance."""
+    if store is not None:
+        store.store_result(store.digest(trace, system), result,
+                           meta={**key, "n_accesses": len(trace)})
 
 
-def _baseline_result(app: str, core: str, condition: MemoryCondition,
-                     seed: int, n_accesses: Optional[int],
-                     baseline_cfg: L1Config, trace=None, warm=None,
-                     engine: str = "python"):
-    key = (app, core, condition.value, seed, n_accesses, baseline_cfg,
-           engine)
-    if key not in _BASELINE_MEMO:
-        system = _system_for(core, baseline_cfg)
-        result = None
-        # The result-level warm cache needs the trace's fingerprint
-        # (substrate-attached traces have it precomputed) and must
-        # never serve a memoized result while data faults are armed —
-        # a faulted baseline run is *supposed* to diverge.
-        reuse = (warm is not None and trace is not None
-                 and not _faults.any_armed())
+@dataclass(frozen=True)
+class _Plan:
+    """What every cell of one sweep shares.
+
+    Pickled into each pool task, so parallel sweeps leave ``traces``
+    unset (cells attach a substrate handle instead) and ``warm_dir``
+    names the cross-process warm-state directory; serial sweeps read
+    traces from the caller's cache and warm through the process-wide
+    ephemeral tier (``warm_dir=None``).
+    """
+
+    n_accesses: Optional[int]
+    baseline: Optional[str]
+    baseline_cfg: Optional[L1Config]
+    checkpoint_every: Optional[int]
+    engine: str
+    store: Optional[ResultStore]
+    warm_dir: Optional[str]
+    traces: Optional[TraceCache]
+
+    def warm_cache(self) -> WarmStateCache:
+        if self.warm_dir is None:
+            return ephemeral_warm_cache()
+        root = self.store.root if self.store is not None else None
+        return warm_cache_for(self.warm_dir, root)
+
+
+def _baseline_result(plan: _Plan, warm: WarmStateCache, trace, app: str,
+                     core: str, condition: MemoryCondition, seed: int):
+    """The normalization baseline of one (app, core, condition, seed).
+
+    Served from the warm cache's result memo — keyed on the trace's
+    content fingerprint, so it never crosses traces — when the group's
+    baseline cell already ran; otherwise simulated once and memoized
+    for the siblings. Armed faults bypass the memo both ways: a faulted
+    run is supposed to diverge.
+    """
+    system = _system_for(core, plan.baseline_cfg)
+    reuse = not _faults.any_armed()
+    result = warm.fetch_result(trace, system) if reuse else None
+    if result is None:
+        result = run_app(app, system, condition=condition,
+                         n_accesses=plan.n_accesses, seed=seed,
+                         trace=trace, warm_state=warm, engine=plan.engine)
         if reuse:
-            result = warm.fetch_result(trace, system)
-        if result is None:
-            result = run_app(app, system, condition=condition,
-                             n_accesses=n_accesses, seed=seed, cache=None,
-                             trace=trace, warm_state=warm, engine=engine)
-            if reuse and not _faults.any_armed():
-                warm.store_result(trace, system, result)
-        _BASELINE_MEMO[key] = result
-    return _BASELINE_MEMO[key]
+            _publish(plan.store, trace, system,
+                     cell_key(app, plan.baseline, core, condition, seed),
+                     result)
+            warm.store_result(trace, system, result)
+    return result
 
 
-def _store_meta(key: Dict[str, object],
-                n_accesses: int) -> Dict[str, object]:
-    """Human-readable provenance sidecar for a stored cell result."""
-    return {**key, "n_accesses": n_accesses}
+def _sweep_cell(plan: _Plan, app: str, name: str, cfg: L1Config,
+                core: str, condition: MemoryCondition, seed: int,
+                checkpoint_path: Optional[Path],
+                handle: Optional[TraceHandle]) -> dict:
+    """One sweep cell — the single path serial and pool sweeps share.
 
-
-def _parallel_cell(app: str, name: str, cfg: L1Config, core: str,
-                   condition: MemoryCondition, seed: int,
-                   n_accesses: Optional[int],
-                   baseline_cfg: Optional[L1Config],
-                   checkpoint_every: Optional[int] = None,
-                   checkpoint_path: Optional[Path] = None,
-                   handle: Optional[TraceHandle] = None,
-                   warm_dir: Optional[str] = None,
-                   share_warm: bool = False,
-                   engine: str = "python",
-                   store_root: Optional[str] = None) -> dict:
-    """One sweep cell as a picklable, self-contained worker task.
-
-    Runs inside a pool worker process. With a substrate ``handle`` the
-    trace is a zero-copy attach of the parent's published segment
-    (memoized per worker); without one it comes from the worker's
-    module-level ``SHARED_TRACES`` (``cache=None``). The baseline
-    result is memoized per worker via :func:`_baseline_result`, and —
-    with ``warm_dir`` — fetched from the cross-worker warm-state cache
-    instead of re-simulated. ``share_warm`` marks the baseline-config
-    cell itself, whose completed state is the one worth publishing.
-    With ``store_root`` the finished result is additionally published
-    to the persistent :class:`~repro.store.ResultStore` at that root,
-    so future ``--store`` sweeps fetch it instead of simulating.
-    All of it is deterministic, so the row matches the serial closure
-    in :func:`run_sweep` exactly — including under checkpointing,
-    where ``checkpoint_path`` doubles as the resume source (a missing
-    file just means a fresh start).
+    The trace is a zero-copy attach of the parent's published segment
+    when the cell has a substrate ``handle`` (pool workers), else it
+    loads lazily from ``plan.traces``. A baseline-config cell runs with
+    warm-state reuse and seeds the result memo its siblings'
+    normalization runs read (:func:`_baseline_result`); every simulated
+    result is published to ``plan.store``. ``checkpoint_path`` doubles
+    as the resume source (a missing file just means a fresh start).
+    Everything is deterministic, so the row is the same whichever
+    process runs the cell.
     """
     try:
-        trace = attach(handle) if handle is not None else None
-        if trace is None and store_root is not None:
-            # Publishing to the store needs the trace's content
-            # fingerprint; resolve the exact trace run_app would use
-            # (the worker-local shared cache) so the digest matches
-            # the parent's dedupe pre-pass.
-            from .experiment import SHARED_TRACES
-            trace = SHARED_TRACES.get(app, n_accesses, condition, seed)
-        warm = (warm_cache_for(warm_dir, store_root)
-                if warm_dir is not None else None)
+        trace = (attach(handle) if handle is not None
+                 else plan.traces.get(app, plan.n_accesses, condition,
+                                      seed))
+        warm = plan.warm_cache()
         faulted = _faults.any_armed()
         system = _system_for(core, cfg)
+        is_baseline = name == plan.baseline
         result = run_app(app, system, condition=condition,
-                         n_accesses=n_accesses, seed=seed, cache=None,
-                         checkpoint_every=checkpoint_every,
+                         n_accesses=plan.n_accesses, seed=seed,
+                         checkpoint_every=plan.checkpoint_every,
                          checkpoint_path=checkpoint_path,
                          resume_checkpoint=checkpoint_path,
                          trace=trace,
-                         warm_state=warm if share_warm else None,
-                         engine=engine)
-        if (share_warm and warm is not None and trace is not None
-                and not faulted):
-            # The baseline-config cell runs first in grid order; its
-            # finished result seeds the cross-worker result cache so
-            # sibling cells' normalization runs skip even the
-            # state-restore cost.
-            warm.store_result(trace, system, result)
-        if store_root is not None and trace is not None and not faulted:
-            store = ResultStore(store_root)
-            store.store_result(
-                store.digest(trace, system), result,
-                meta=_store_meta(cell_key(app, name, core, condition,
-                                          seed), len(trace)))
-        base = None
-        if baseline_cfg is not None:
-            base = _baseline_result(app, core, condition, seed,
-                                    n_accesses, baseline_cfg,
-                                    trace=trace, warm=warm, engine=engine)
+                         warm_state=warm if is_baseline else None,
+                         engine=plan.engine)
+        if not faulted:
+            _publish(plan.store, trace, system,
+                     cell_key(app, name, core, condition, seed), result)
+            if is_baseline:
+                warm.store_result(trace, system, result)
+        if is_baseline:
+            base = result
+        elif plan.baseline is not None:
+            base = _baseline_result(plan, warm, trace, app, core,
+                                    condition, seed)
+        else:
+            base = None
     except ReproError as exc:
         raise exc.with_context(app=app, config=name, seed=seed)
     return _result_row(app, name, core, condition, seed, result, base)
 
 
-def _parallel_cells(spec: SweepSpec, n_accesses: Optional[int],
-                    checkpoint_every: Optional[int] = None,
-                    checkpoint_dir: Optional[Path] = None,
-                    handles: Optional[Dict[tuple, TraceHandle]] = None,
-                    warm_dir: Optional[str] = None,
-                    engine: str = "python",
-                    store_root: Optional[str] = None
-                    ) -> List[Tuple[dict, partial]]:
-    """The grid as (key, picklable task) pairs, in serial row order.
+def _stored_rows(spec: SweepSpec, n_accesses: Optional[int],
+                 traces: TraceCache, store: ResultStore,
+                 skip: Callable[[dict], bool] = lambda key: False
+                 ) -> Iterator[Tuple[int, dict, Optional[dict]]]:
+    """Look every grid cell up in the store, in :func:`grid_cells` order.
 
-    ``handles`` maps (app, condition value, seed) to the parent's
-    published shared-memory trace segments — cells with an entry attach
-    it instead of regenerating the trace worker-side. ``warm_dir``
-    points all cells at one cross-process warm-state directory; only
-    baseline-config cells run *with* warm reuse for their own result
-    (``share_warm``), every cell uses it for the normalization run.
-    ``store_root`` (a path string, picklable) makes each worker publish
-    its finished result to the persistent store at that root.
+    Yields ``(index, key, row)``; ``row`` is ``None`` on a miss and the
+    cell is not looked up at all when ``skip(key)``. A hit needs the
+    cell's own result **and**, when the spec normalizes, the stored
+    baseline result of its (app, core, condition, seed) group — the
+    ratio columns are then computed exactly like an executed cell
+    computes them, from the same two deterministic results, so the row
+    bytes match a cold run. Anything missing or unreadable is a miss.
     """
-    baseline_cfg = (spec.configs[spec.baseline]
-                    if spec.baseline is not None else None)
-    handles = handles or {}
-    cells = []
-    for key, app, name, cfg, core, condition, seed in grid_cells(spec):
-        ckpt = (checkpoint_path_for(checkpoint_dir, key)
-                if checkpoint_every else None)
-        handle = handles.get((app, condition.value, seed))
-        task = partial(_parallel_cell, app, name, cfg,
-                       core, condition, seed, n_accesses,
-                       baseline_cfg, checkpoint_every,
-                       ckpt, handle, warm_dir,
-                       name == spec.baseline,
-                       engine=engine, store_root=store_root)
-        cells.append((key, task))
-    return cells
-
-
-def _store_prepass(spec: SweepSpec, n_accesses: Optional[int],
-                   traces: TraceCache, store: ResultStore,
-                   runner: ResilientRunner) -> Dict[int, dict]:
-    """Dedupe the grid against the store before any cell executes.
-
-    Returns ``{cell index: finished row}`` for every cell the store can
-    satisfy, in :func:`grid_cells` order. The rules:
-
-    * a **resume journal wins** — a cell the runner's journal already
-      marks ok is skipped here, so its journaled row replays verbatim
-      (the journal reflects what that campaign actually ran);
-    * a hit needs the cell's own result **and**, when the spec has a
-      ``baseline``, the stored baseline result for its (app, core,
-      condition, seed) group — the ratio columns are computed exactly
-      like an executed cell computes them, from the same two
-      deterministic results, so the row bytes match a cold run;
-    * anything missing or unreadable is a miss (the cell simulates).
-
-    Hits are accounted and journaled through
-    :meth:`ResilientRunner.record_hit`, so resumes, stats, and the
-    degraded-exit logic see them as completed cells.
-    """
-    hits: Dict[int, dict] = {}
-    base_memo: Dict[tuple, Optional[object]] = {}
     base_cfg = (spec.configs[spec.baseline]
                 if spec.baseline is not None else None)
+    base_memo: Dict[tuple, Optional[object]] = {}
     for i, (key, app, name, cfg, core, condition, seed) in \
             enumerate(grid_cells(spec)):
-        if runner.completed_ok(key):
+        if skip(key):
             continue
         trace = traces.get(app, n_accesses, condition, seed)
         base = None
@@ -386,27 +338,42 @@ def _store_prepass(spec: SweepSpec, n_accesses: Optional[int],
                     store.digest(trace, _system_for(core, base_cfg)))
             base = base_memo[group]
             if base is None:
-                # The ratio columns would need a baseline simulation
-                # anyway — let the cell run cold.
+                yield i, key, None
                 continue
         result = store.fetch_result(
             store.digest(trace, _system_for(core, cfg)))
         if result is None:
+            yield i, key, None
             continue
         if name == spec.baseline:
             base = result
-        hits[i] = runner.record_hit(
-            key, _result_row(app, name, core, condition, seed,
-                             result, base))
-    return hits
+        yield i, key, _result_row(app, name, core, condition, seed,
+                                  result, base)
+
+
+def _store_prepass(spec: SweepSpec, n_accesses: Optional[int],
+                   traces: TraceCache, store: ResultStore,
+                   runner: ResilientRunner) -> Dict[int, dict]:
+    """Dedupe the grid against the store before any cell executes.
+
+    Returns ``{cell index: finished row}`` for every cell the store can
+    satisfy (see :func:`_stored_rows`). A **resume journal wins**: a
+    cell the runner's journal already marks ok is skipped here, so its
+    journaled row replays verbatim. Hits are accounted and journaled
+    through :meth:`ResilientRunner.record_hit`, so resumes, stats, and
+    the degraded-exit logic see them as completed cells.
+    """
+    return {i: runner.record_hit(key, row)
+            for i, key, row in _stored_rows(spec, n_accesses, traces,
+                                            store,
+                                            skip=runner.completed_ok)
+            if row is not None}
 
 
 def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
               traces: Optional[TraceCache] = None,
               runner: Optional[ResilientRunner] = None,
               checkpoint_every: Optional[int] = None,
-              substrate: Optional[bool] = None,
-              warm_reuse: bool = True,
               engine: str = "python",
               store: Optional[Union[ResultStore, str, Path]] = None
               ) -> List[dict]:
@@ -417,8 +384,8 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     error row instead of aborting the grid. Pass a runner with a
     ``journal`` to checkpoint, and one with ``resume_from`` to skip the
     cells a previous run completed. Baseline runs are computed lazily
-    per (core, condition, seed) group, so fully-resumed groups skip
-    them entirely.
+    per (app, core, condition, seed) group, so fully-resumed groups
+    skip them entirely.
 
     With ``checkpoint_every`` (requires a runner constructed with
     ``checkpoint_dir``), each cell additionally snapshots its
@@ -430,30 +397,29 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     skips finished cells, the checkpoint fast-forwards the interrupted
     one. Baseline runs are cheap shared work and stay uncheckpointed.
 
-    A runner constructed with ``jobs > 1`` executes the cells in a
-    supervised process pool (see :meth:`ResilientRunner.run_cells` and
+    Every grid runs through one pipeline: each cell is a
+    :func:`_sweep_cell` task, and all of them go to one
+    :meth:`ResilientRunner.run_cells` call in grid (CSV row) order —
+    which is also the order fault-spec ordinals count in. A runner with
+    ``jobs > 1`` executes them in a supervised process pool (see
     :class:`~repro.sim.executors.SupervisedPoolExecutor`): worker death
     is contained to the executing cell, bystanders are rescheduled, and
-    row order, journal semantics, and resume behaviour are identical to
-    the serial path — the CSV is byte-for-byte the same.
+    the CSV is byte-for-byte the serial one. What differs by mode is
+    only where a cell finds its inputs (see ``docs/architecture.md``):
 
-    Two redundancy eliminations apply on top (both deterministic, both
-    leaving rows byte-identical — see ``docs/architecture.md``):
-
-    * ``substrate`` — under ``jobs > 1``, render each pending cell's
-      trace *once* in the parent and publish it as a shared-memory
-      segment (:class:`~repro.workloads.substrate.TraceStore`);
-      workers attach zero-copy instead of regenerating per process.
-      ``None`` (default) enables it whenever the runner is parallel;
-      ``False`` forces per-worker regeneration. Segments are unlinked
-      in a ``finally`` — worker crashes and ``KeyboardInterrupt``
-      included.
-    * ``warm_reuse`` — snapshot the first completed baseline run per
-      (trace, config) through :class:`WarmStateCache` and restore it
-      for the sibling runs (the baseline grid cell and every cell's
-      normalization run), instead of re-simulating. Serial sweeps use
-      an in-memory cache; parallel sweeps exchange snapshots through a
-      temporary directory removed on exit.
+    * traces — a serial cell loads its trace lazily from ``traces``;
+      a parallel sweep renders each pending cell's trace *once* in the
+      parent and publishes it as a shared-memory segment
+      (:class:`~repro.workloads.substrate.TraceStore`) that workers
+      attach zero-copy. Segments are unlinked in a ``finally`` —
+      worker crashes and ``KeyboardInterrupt`` included.
+    * warm state — baseline-config cells snapshot their completed run
+      and result through :class:`WarmStateCache`; every other cell's
+      normalization run fetches that result instead of re-simulating.
+      Serial sweeps use the process-wide in-memory tier; parallel
+      sweeps exchange entries through a temporary directory removed on
+      exit, and the pool dispatches baseline cells first so their
+      results are there when siblings look.
 
     With a ``store`` (a :class:`~repro.store.ResultStore` or a store
     root path; CLI: ``sweep --store``), the grid is deduped against
@@ -494,163 +460,58 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     hits: Dict[int, dict] = {}
     if store is not None:
         hits = _store_prepass(spec, n_accesses, traces, store, runner)
-    blank = {name: "" for name in FIELDS}
-    if runner.jobs > 1:
-        use_substrate = substrate if substrate is not None else True
-        trace_store: Optional[TraceStore] = None
-        warm_dir: Optional[str] = None
-        try:
-            handles: Dict[tuple, TraceHandle] = {}
-            if use_substrate:
-                pending = set()
-                for i, (key, app, _name, _cfg, _core, condition, seed) \
-                        in enumerate(grid_cells(spec)):
-                    if i not in hits and not runner.completed_ok(key):
-                        pending.add((app, condition, seed))
-                trace_store = TraceStore()
-                for app, condition, seed in sorted(
-                        pending, key=lambda c: (c[0], c[1].value, c[2])):
-                    trace = traces.get(app, n_accesses, condition, seed)
-                    handles[(app, condition.value, seed)] = \
-                        trace_store.publish(
-                            trace,
-                            key=(app, len(trace), condition.value, seed))
-            if warm_reuse:
-                warm_dir = tempfile.mkdtemp(prefix="repro-warm-")
-            cells = _parallel_cells(spec, n_accesses, checkpoint_every,
-                                    runner.checkpoint_dir, handles=handles,
-                                    warm_dir=warm_dir, engine=engine,
-                                    store_root=(str(store.root)
-                                                if store is not None
-                                                else None))
-            # Baseline-first scheduling: submit every baseline-config
-            # cell before any sibling, so by the time the siblings'
-            # normalization runs look for the baseline result it is
-            # already in the warm cache — otherwise concurrent workers
-            # race the baseline cell and each re-simulates the baseline
-            # themselves. The sort is stable (grid order within each
-            # half) and the inverse permutation restores row order, so
-            # the CSV stays byte-identical to a serial run. Store hits
-            # never enter the pool; their finished rows merge back in
-            # by grid index.
-            order = [i for i in range(len(cells)) if i not in hits]
-            if warm_dir is not None and spec.baseline is not None:
-                order.sort(key=lambda i:
-                           cells[i][0]["config"] != spec.baseline)
-            permuted = runner.run_cells([cells[i] for i in order])
-            rows: List[dict] = [blank] * len(cells)
-            for i, row in hits.items():
-                rows[i] = {**blank, **row}
-            for rank, i in enumerate(order):
-                rows[i] = {**blank, **permuted[rank]}
-            return rows
-        finally:
-            if trace_store is not None:
-                trace_store.close()
-            if warm_dir is not None:
-                shutil.rmtree(warm_dir, ignore_errors=True)
-    # Serial path. The warm cache is the process-wide ephemeral tier —
-    # repeated run_sweep calls in one process reuse each other's
-    # baselines (each call used to build a private cache, so the
-    # in-memory layer was never consulted across invocations). The
-    # persistent store attaches as its backing tier for the duration
-    # of this sweep only.
-    warm = ephemeral_warm_cache() if warm_reuse else None
-    prior_tier = warm.result_store if warm is not None else None
-    if warm is not None:
-        warm.result_store = store
-    rows: List[dict] = []
+    parallel = runner.jobs > 1
+    trace_store = TraceStore() if parallel else None
+    warm_dir = tempfile.mkdtemp(prefix="repro-warm-") if parallel else None
+    # The serial warm tier is process-wide, so repeated sweeps in one
+    # process reuse each other's baselines; the store backs it for
+    # this sweep only.
+    ephemeral = ephemeral_warm_cache()
+    prior_tier, ephemeral.result_store = ephemeral.result_store, store
     try:
-        index = -1
-        for core in spec.cores:
-            for condition in spec.conditions:
-                for seed in spec.seeds:
-                    baselines: Dict[str, object] = {}
-
-                    def baseline_for(app, core=core, condition=condition,
-                                     seed=seed, baselines=baselines):
-                        if spec.baseline is None:
-                            return None
-                        if app not in baselines:
-                            result = run_app(
-                                app,
-                                _system_for(core,
-                                            spec.configs[spec.baseline]),
-                                condition=condition, n_accesses=n_accesses,
-                                seed=seed, cache=traces, warm_state=warm,
-                                engine=engine)
-                            if (store is not None
-                                    and not _faults.any_armed()):
-                                trace = traces.get(app, n_accesses,
-                                                   condition, seed)
-                                system = _system_for(
-                                    core, spec.configs[spec.baseline])
-                                store.store_result(
-                                    store.digest(trace, system), result,
-                                    meta=_store_meta(
-                                        cell_key(app, spec.baseline, core,
-                                                 condition, seed),
-                                        len(trace)))
-                            baselines[app] = result
-                        return baselines[app]
-
-                    for name, cfg in spec.configs.items():
-                        for app in spec.apps:
-                            index += 1
-                            if index in hits:
-                                rows.append({**blank, **hits[index]})
-                                continue
-                            key = cell_key(app, name, core, condition,
-                                           seed)
-                            ckpt = (checkpoint_path_for(
-                                        runner.checkpoint_dir, key)
-                                    if checkpoint_every else None)
-
-                            def cell(app=app, name=name, cfg=cfg,
-                                     core=core, condition=condition,
-                                     seed=seed, baseline_for=baseline_for,
-                                     ckpt=ckpt):
-                                try:
-                                    system = _system_for(core, cfg)
-                                    result = run_app(
-                                        app, system,
-                                        condition=condition,
-                                        n_accesses=n_accesses, seed=seed,
-                                        cache=traces,
-                                        checkpoint_every=checkpoint_every,
-                                        checkpoint_path=ckpt,
-                                        resume_checkpoint=ckpt,
-                                        warm_state=(warm
-                                                    if name ==
-                                                    spec.baseline
-                                                    else None),
-                                        engine=engine)
-                                    if (store is not None
-                                            and not _faults.any_armed()):
-                                        trace = traces.get(
-                                            app, n_accesses, condition,
-                                            seed)
-                                        store.store_result(
-                                            store.digest(trace, system),
-                                            result,
-                                            meta=_store_meta(
-                                                cell_key(app, name, core,
-                                                         condition, seed),
-                                                len(trace)))
-                                    base = baseline_for(app)
-                                except ReproError as exc:
-                                    raise exc.with_context(
-                                        app=app, config=name, seed=seed)
-                                return _result_row(app, name, core,
-                                                   condition, seed,
-                                                   result, base)
-
-                            rows.append(
-                                {**blank, **runner.run_cell(key, cell)})
-        return rows
+        handles: Dict[tuple, TraceHandle] = {}
+        if trace_store is not None:
+            pending = set()
+            for i, (key, app, _name, _cfg, _core, condition, seed) \
+                    in enumerate(grid_cells(spec)):
+                if i not in hits and not runner.completed_ok(key):
+                    pending.add((app, condition, seed))
+            for app, condition, seed in sorted(
+                    pending, key=lambda c: (c[0], c[1].value, c[2])):
+                trace = traces.get(app, n_accesses, condition, seed)
+                handles[(app, condition.value, seed)] = trace_store.publish(
+                    trace, key=(app, len(trace), condition.value, seed))
+        plan = _Plan(n_accesses=n_accesses, baseline=spec.baseline,
+                     baseline_cfg=(spec.configs[spec.baseline]
+                                   if spec.baseline is not None else None),
+                     checkpoint_every=checkpoint_every, engine=engine,
+                     store=store, warm_dir=warm_dir,
+                     traces=None if parallel else traces)
+        cells: List[Tuple[dict, partial]] = []
+        first: List[int] = []
+        for i, (key, app, name, cfg, core, condition, seed) in \
+                enumerate(grid_cells(spec)):
+            if i in hits:
+                continue
+            if name == spec.baseline:
+                first.append(len(cells))
+            ckpt = (checkpoint_path_for(runner.checkpoint_dir, key)
+                    if checkpoint_every else None)
+            cells.append((key, partial(
+                _sweep_cell, plan, app, name, cfg, core, condition, seed,
+                ckpt, handles.get((app, condition.value, seed)))))
+        # Store hits never execute; their finished rows merge back in
+        # by grid index.
+        executed = iter(runner.run_cells(cells, first=first))
+        blank = {name: "" for name in FIELDS}
+        return [{**blank, **(hits[i] if i in hits else next(executed))}
+                for i in range(len(hits) + len(cells))]
     finally:
-        if warm is not None:
-            warm.result_store = prior_tier
+        ephemeral.result_store = prior_tier
+        if trace_store is not None:
+            trace_store.close()
+        if warm_dir is not None:
+            shutil.rmtree(warm_dir, ignore_errors=True)
 
 
 def rows_from_store(spec: SweepSpec, n_accesses: Optional[int],
@@ -667,35 +528,16 @@ def rows_from_store(spec: SweepSpec, n_accesses: Optional[int],
     baseline absent when the spec normalizes). ``rows`` is complete
     only when ``missing`` is empty — the ``repro jobs result`` gate.
     """
-    traces = traces or TraceCache()
     blank = {name: "" for name in FIELDS}
-    base_cfg = (spec.configs[spec.baseline]
-                if spec.baseline is not None else None)
-    base_memo: Dict[tuple, Optional[object]] = {}
     rows: List[dict] = []
     missing: List[dict] = []
-    for key, app, name, cfg, core, condition, seed in grid_cells(spec):
-        trace = traces.get(app, n_accesses, condition, seed)
-        result = store.fetch_result(
-            store.digest(trace, _system_for(core, cfg)))
-        base = None
-        if base_cfg is not None:
-            if name == spec.baseline:
-                base = result
-            else:
-                group = (app, core, condition.value, seed)
-                if group not in base_memo:
-                    base_memo[group] = store.fetch_result(
-                        store.digest(trace, _system_for(core, base_cfg)))
-                base = base_memo[group]
-        if result is None or (base_cfg is not None and base is None):
+    for _i, key, row in _stored_rows(spec, n_accesses,
+                                     traces or TraceCache(), store):
+        if row is None:
             missing.append(key)
             rows.append(blank)
-            continue
-        rows.append({**blank,
-                     **_result_row(app, name, core, condition, seed,
-                                   result, base),
-                     "status": STATUS_OK, "error": ""})
+        else:
+            rows.append({**blank, **row, "status": STATUS_OK, "error": ""})
     return rows, missing
 
 

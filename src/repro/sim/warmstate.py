@@ -1,13 +1,12 @@
 """Warm-state reuse: share one (trace, system) run's end state.
 
-A sweep with a ``baseline`` config simulates every (app, core,
-condition, seed) group's baseline *twice*: once as the baseline-config
-grid cell, and once more as the normalization run behind every other
-cell's ``speedup``/``energy_ratio`` columns (``_baseline_result`` in
-:mod:`repro.sim.sweep`). Under ``--jobs N`` the duplication multiplies
-— each pool worker memoizes its *own* baseline run. The simulations
-are deterministic, so every one of those repeats computes bit-for-bit
-the same component state.
+A sweep with a ``baseline`` config needs every (app, core, condition,
+seed) group's baseline run twice: once as the baseline-config grid
+cell, and again as the normalization run behind every other cell's
+``speedup``/``energy_ratio`` columns (``_baseline_result`` in
+:mod:`repro.sim.sweep`) — under ``--jobs N`` in every pool worker
+that runs a sibling. The simulations are deterministic, so every one
+of those repeats computes bit-for-bit the same component state.
 
 :class:`WarmStateCache` eliminates the repeats. The first completed
 run of a (trace, system, length) triple snapshots its full component

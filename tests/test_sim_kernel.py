@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.indexing import SiptVariant
+from repro.envutil import env_int
 from repro.errors import ConfigError, SimulationError
 from repro.sim import (
     BASELINE_L1,
@@ -43,7 +44,6 @@ from repro.sim.driver import (
     _replay_range,
     simulate_multicore,
 )
-from repro.sim.experiment import _env_int
 from repro.sim.faults import (
     WorkerCrash,
     arm_data_specs,
@@ -280,20 +280,20 @@ def test_cold_cursor_mid_trace_start_matches():
 # Satellite: integer env overrides raise ConfigError, not ValueError
 # ---------------------------------------------------------------------
 
-def test_env_int_names_variable_and_value(monkeypatch):
+def test_int_env_var_names_variable_and_value(monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", "lots")
     with pytest.raises(ConfigError, match="REPRO_TRACE_CACHE.*'lots'"):
         TraceCache()
 
 
-def test_env_int_valid_and_default(monkeypatch):
+def test_int_env_var_valid_and_default(monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", "7")
     assert TraceCache().max_traces == 7
     monkeypatch.delenv("REPRO_TRACE_CACHE")
-    assert _env_int("REPRO_TRACE_CACHE", 64) == 64
+    assert env_int("REPRO_TRACE_CACHE", 64) == 64
     monkeypatch.setenv("REPRO_ACCESSES", "12_000?!")
     with pytest.raises(ConfigError, match="REPRO_ACCESSES"):
-        _env_int("REPRO_ACCESSES", 50000)
+        env_int("REPRO_ACCESSES", 50000)
 
 
 # ---------------------------------------------------------------------

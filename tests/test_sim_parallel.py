@@ -186,6 +186,42 @@ def test_parallel_sweep_csv_byte_identical_to_serial(tmp_path):
     assert a == b
 
 
+def test_baseline_last_parallel_sweep_byte_identical_to_serial(tmp_path):
+    """Configs listing the baseline last: serial siblings simulate the
+    normalization run before the baseline cell does, while the pool
+    dispatches baseline cells first. Both must write the same CSV."""
+    spec = SweepSpec(apps=["povray", "gamess"],
+                     configs={"sipt": SIPT_GEOMETRIES["32K_2w"],
+                              "base": BASELINE_L1},
+                     seeds=[0, 1], baseline="base")
+    serial = run_sweep(spec, n_accesses=1200, runner=ResilientRunner())
+    parallel = run_sweep(spec, n_accesses=1200,
+                         runner=ResilientRunner(jobs=2))
+    a = to_csv(serial, tmp_path / "serial.csv").read_bytes()
+    b = to_csv(parallel, tmp_path / "parallel.csv").read_bytes()
+    assert a == b
+
+
+def test_data_fault_ordinals_follow_grid_order(tmp_path):
+    """A data-level fault spec names a cell by its CSV row position, so
+    it corrupts the same cell under --jobs 1 and --jobs 2 (the pool's
+    baseline-first dispatch must not renumber cells)."""
+    spec = SweepSpec(apps=["perlbench", "mcf"],
+                     configs={"baseline": BASELINE_L1,
+                              "32K_2w": SIPT_GEOMETRIES["32K_2w"]},
+                     cores=["ooo", "inorder"], baseline="baseline")
+    csvs = []
+    for jobs in (1, 2):
+        runner = ResilientRunner(
+            jobs=jobs, faults=FaultInjector(["corrupt_trace@2"]))
+        rows = run_sweep(spec, n_accesses=1500, runner=runner)
+        bad = [(r["app"], r["config"], r["core"])
+               for r in rows if r["status"] != "ok"]
+        assert bad == [("perlbench", "32K_2w", "ooo")]
+        csvs.append(to_csv(rows, tmp_path / f"j{jobs}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_parallel_sweep_resume_after_partial_journal(tmp_path):
     """Kill-and-resume: a truncated journal + --jobs completes the grid
     to the exact CSV a serial uninterrupted run produces."""

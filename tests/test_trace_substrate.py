@@ -155,8 +155,7 @@ def test_sweep_parallel_substrate_matches_serial(tmp_path):
                        runner=_Runner(checkpoint_dir=tmp_path / "s"))
     parallel = run_sweep(spec, n_accesses=600, traces=TraceCache(),
                          runner=_Runner(jobs=2,
-                                        checkpoint_dir=tmp_path / "p"),
-                         substrate=True)
+                                        checkpoint_dir=tmp_path / "p"))
     assert json.dumps(parallel, sort_keys=True, default=str) == \
         json.dumps(serial, sort_keys=True, default=str)
 
@@ -170,8 +169,7 @@ def _shm_names():
 def test_sweep_completion_leaves_no_segments(tmp_path):
     before = _shm_names()
     run_sweep(spec_small(), n_accesses=500, traces=TraceCache(),
-              runner=_Runner(jobs=2, checkpoint_dir=tmp_path),
-              substrate=True)
+              runner=_Runner(jobs=2, checkpoint_dir=tmp_path))
     assert _shm_names() <= before
 
 
@@ -179,13 +177,13 @@ def test_sweep_interrupt_leaves_no_segments(tmp_path, monkeypatch):
     before = _shm_names()
     runner = _Runner(jobs=2, checkpoint_dir=tmp_path)
 
-    def boom(cells):
+    def boom(cells, **_):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(runner, "run_cells", boom)
     with pytest.raises(KeyboardInterrupt):
         run_sweep(spec_small(), n_accesses=500, traces=TraceCache(),
-                  runner=runner, substrate=True)
+                  runner=runner)
     assert _shm_names() <= before
 
 
@@ -193,13 +191,13 @@ def test_sweep_worker_crash_leaves_no_segments(tmp_path, monkeypatch):
     before = _shm_names()
     runner = _Runner(jobs=2, checkpoint_dir=tmp_path)
 
-    def die(cells):
+    def die(cells, **_):
         raise RuntimeError("worker pool died")
 
     monkeypatch.setattr(runner, "run_cells", die)
     with pytest.raises(RuntimeError):
         run_sweep(spec_small(), n_accesses=500, traces=TraceCache(),
-                  runner=runner, substrate=True)
+                  runner=runner)
     assert _shm_names() <= before
 
 

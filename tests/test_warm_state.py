@@ -1,8 +1,9 @@
 """Tests for warm-state reuse (``repro.sim.warmstate``).
 
 The load-bearing property: warm-state reuse is a pure redundancy
-elimination. Rows must be byte-identical with it on or off, serial or
-parallel, and composed with per-cell checkpointing and journal resume.
+elimination. Sweep rows must be byte-identical to rows built from one
+direct, cache-free simulation per cell — serial or parallel, and
+composed with per-cell checkpointing and journal resume.
 The cache itself must treat anything unverifiable as a miss, never an
 error.
 """
@@ -13,9 +14,10 @@ import pickle
 import pytest
 
 from repro.sim import BASELINE_L1, SIPT_GEOMETRIES, inorder_system, simulate
-from repro.sim.experiment import TraceCache
+from repro.sim.experiment import TraceCache, run_app
 from repro.sim.resilience import ResilientRunner
-from repro.sim.sweep import SweepSpec, run_sweep
+from repro.sim.sweep import (SweepSpec, _result_row, _system_for, grid_cells,
+                             run_sweep)
 from repro.sim.warmstate import WarmStateCache, warm_cache_for
 from repro.workloads import generate_trace
 
@@ -122,46 +124,51 @@ def test_core_kinds_do_not_share_warm_entries(trace, tmp_path):
 # End-to-end identity: warm reuse must not change a single byte
 # ---------------------------------------------------------------------
 
+def cold_rows(spec, n_accesses):
+    """The grid's rows from one direct ``run_app`` per cell and per
+    normalization run, with no warm cache anywhere — the reference
+    every warm-reusing sweep must match byte for byte."""
+    traces = TraceCache()
+    rows = []
+    for _key, app, name, cfg, core, condition, seed in grid_cells(spec):
+        def run(l1):
+            return run_app(app, _system_for(core, l1), condition=condition,
+                           n_accesses=n_accesses, seed=seed, cache=traces)
+        base = run(spec.configs[spec.baseline])
+        rows.append({**_result_row(app, name, core, condition, seed,
+                                   run(cfg), base),
+                     "status": "ok", "error": ""})
+    return rows
+
+
 def test_serial_rows_identical_warm_on_off():
-    want = run_sweep(spec_small(), n_accesses=600, traces=TraceCache(),
-                     warm_reuse=False)
-    got = run_sweep(spec_small(), n_accesses=600, traces=TraceCache(),
-                    warm_reuse=True)
+    want = cold_rows(spec_small(), 600)
+    got = run_sweep(spec_small(), n_accesses=600, traces=TraceCache())
     assert rows_blob(got) == rows_blob(want)
 
 
 def test_parallel_rows_identical_warm_on_off(tmp_path):
-    kw = dict(n_accesses=600, substrate=True)
-    want = run_sweep(spec_small(), traces=TraceCache(),
-                     runner=ResilientRunner(jobs=2,
-                                            checkpoint_dir=tmp_path / "a"),
-                     warm_reuse=False, **kw)
-    got = run_sweep(spec_small(), traces=TraceCache(),
-                    runner=ResilientRunner(jobs=2,
-                                           checkpoint_dir=tmp_path / "b"),
-                    warm_reuse=True, **kw)
+    want = cold_rows(spec_small(), 600)
+    got = run_sweep(spec_small(), n_accesses=600, traces=TraceCache(),
+                    runner=ResilientRunner(jobs=2, checkpoint_dir=tmp_path))
     assert rows_blob(got) == rows_blob(want)
 
 
 def test_warm_rows_identical_under_checkpoint_every(tmp_path):
-    want = run_sweep(spec_small(), n_accesses=600, traces=TraceCache(),
-                     warm_reuse=False)
+    want = cold_rows(spec_small(), 600)
     runner = ResilientRunner(jobs=2, checkpoint_dir=tmp_path)
     got = run_sweep(spec_small(), n_accesses=600, traces=TraceCache(),
-                    runner=runner, checkpoint_every=200,
-                    substrate=True, warm_reuse=True)
+                    runner=runner, checkpoint_every=200)
     assert rows_blob(got) == rows_blob(want)
 
 
 def test_warm_rows_identical_under_resume(tmp_path):
     spec = spec_small()
-    want = run_sweep(spec, n_accesses=600, traces=TraceCache(),
-                     warm_reuse=False)
+    want = cold_rows(spec, 600)
     journal = tmp_path / "journal.jsonl"
     first = ResilientRunner(jobs=2, journal=journal,
                             checkpoint_dir=tmp_path / "c1")
-    run_sweep(spec, n_accesses=600, traces=TraceCache(), runner=first,
-              substrate=True, warm_reuse=True)
+    run_sweep(spec, n_accesses=600, traces=TraceCache(), runner=first)
     # Drop the last journal record so the resume has real work to do.
     lines = journal.read_text().splitlines()
     journal.write_text("\n".join(lines[:-1]) + "\n")
@@ -169,5 +176,5 @@ def test_warm_rows_identical_under_resume(tmp_path):
                               resume_from=journal,
                               checkpoint_dir=tmp_path / "c2")
     got = run_sweep(spec, n_accesses=600, traces=TraceCache(),
-                    runner=resumed, substrate=True, warm_reuse=True)
+                    runner=resumed)
     assert rows_blob(got) == rows_blob(want)
