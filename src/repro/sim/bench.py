@@ -24,7 +24,7 @@ Methodology:
   machines.
 * The warm heap is frozen (``gc.freeze``) for the timed region, so
   generational GC does not bill earlier apps' long-lived state
-  (traces, memoized kernel streams) to the app on the clock.
+  (traces, memoized kernel columns) to the app on the clock.
 * The aggregate figure is total accesses over total best-time — the
   throughput a serial sweep would see on this machine.
 
@@ -71,7 +71,7 @@ def _time_simulate(trace, system, repeats: int,
                    engine: str = "python") -> float:
     """Best-of-``repeats`` wall time of one simulate() call.
 
-    The warm heap (traces, memoized kernel streams for *every* app
+    The warm heap (traces, memoized kernel columns for *every* app
     benched so far) is frozen out of the collector for the timed
     region: generational GC otherwise re-traverses those long-lived
     containers mid-replay, charging earlier apps' working sets to
@@ -144,9 +144,9 @@ def run_bench(apps: Optional[Iterable[str]] = None,
     ``checkpoint_every`` does the same for the checkpointed replay path
     (snapshots land in a temp directory that is cleaned up afterwards).
     ``engine`` selects the replay implementation; the warm-up replay
-    also builds the kernel engine's memoized per-trace streams, so a
-    kernel point times steady-state replay — the regime sweeps live in
-    — not one-off stream construction.
+    also builds the kernel engine's memoized per-trace columns, so a
+    kernel point times replay with warm columns, not their one-off
+    construction.
     """
     if n_accesses <= 0:
         raise ConfigError(f"n_accesses must be positive, got {n_accesses}")

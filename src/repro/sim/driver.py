@@ -610,12 +610,12 @@ def simulate(trace: Trace, system: SystemConfig,
     engine:
         ``"python"`` (default) replays through the pure-python fused
         loop; ``"kernel"`` replays through the array-compiled engine
-        (:mod:`repro.sim.kernel`), which precomputes translation,
-        speculation, and latency columns and runs only the serial
-        residue per access. The two are byte-identical by construction
+        (:mod:`repro.sim.kernel`), one generated pass per access that
+        runs translation, speculation, the L1 and the miss path on the
+        live components. The two are byte-identical by construction
         — the python loop is the kernel's differential oracle, and the
-        engine falls back to it (permanently, per run) for any
-        configuration or state it cannot prove it models, so
+        engine declines at build (leaving the run to the oracle) for
+        any configuration or predictor state it does not model, so
         ``engine="kernel"`` never changes results, only speed.
 
     Returns
@@ -673,10 +673,10 @@ def simulate(trace: Trace, system: SystemConfig,
             return ctx.result()
     replay: Callable = _replay_range
     if engine == "kernel" and decision_trace is None:
-        # Built after fault injection so a poisoned predictor is
-        # visible to the engine's first verification (which fails it
-        # over to the oracle); the decision-trace path needs the
-        # per-access L1AccessResult and always runs step().
+        # Built after fault injection so the build sees a poisoned
+        # predictor and declines (the oracle then raises); the
+        # decision-trace path needs the per-access L1AccessResult and
+        # always runs step().
         from .kernel import make_engine
         kernel = make_engine(ctx, _replay_range)
         if kernel is not None:
@@ -710,7 +710,7 @@ def simulate_multicore(traces: Sequence[Trace], system: SystemConfig,
     every core's snapshot); interval sampling and decision tracing are
     single-core tools and are not offered here.
 
-    ``engine="kernel"`` replays through per-core precomputed streams
+    ``engine="kernel"`` replays through per-core compiled passes
     (:func:`repro.sim.kernel.run_multicore_kernel`) with the same
     round-robin interleaving over the same shared containers —
     byte-identical results, with a cold-state fallback to this loop

@@ -1,70 +1,65 @@
 """Array-compiled replay engine with a pure-python differential oracle.
 
 The interpreter-level fused loop (``driver._replay_range``) pays the
-full per-access cost of the SIPT pipeline — TLB dict probes, a
-13-weight perceptron dot product, outcome bookkeeping, two result
-objects — on every access. This module splits that pipeline into
-**batch phases** and a **serial residue**:
+full per-access cost of the SIPT pipeline — TLB method calls, a
+13-weight perceptron dot product, outcome objects, two result objects —
+on every access. This module replays the same pipeline as **one
+exec-compiled pass** per (core kind, speculation variant, way
+prediction) shape, generated from :data:`_LOOP_TEMPLATE`:
 
-* Batch phases (precomputed once per trace/config, as numpy arrays and
-  plain lists, memoized on :meth:`TraceColumns.kernel_memo`):
+* **Translation** — the L1 TLB hit path (2 MiB array, then 4 KiB
+  array: one dict probe and an LRU touch) runs inline on the live
+  ``_TlbArray`` ``_where`` dicts and LRU stacks. An L1 TLB miss calls
+  the live ``TlbHierarchy.translate``, which does the L2 lookup, the
+  page walk through the real walker (its loads are demand traffic
+  into the live L2/LLC) and the fills, in the oracle's order.
+* **Speculation** — NAIVE/BYPASS/COMBINED are inlined over the live
+  perceptron ``_weights``/``_history`` and IDB ``_deltas``/
+  ``_last_page``, mirroring ``PerceptronPredictor.predict_train``,
+  ``IndexDeltaBuffer.predict_update`` and the 1-bit reversed
+  prediction. The global history runs as an int bitmask and is written
+  back at range end. The dot product ``y`` is cached per perceptron
+  entry, keyed by that bitmask, and the entry's cache is cleared
+  whenever it trains, so a cached ``y`` is always the exact sum.
+* **L1 and below** — array probes, LRU, fills and evictions, way
+  prediction, port conflicts, and the core's stall arithmetic in the
+  oracle's exact floating-point order. L1 misses are serviced by the
+  **compiled miss path** (:func:`_compile_miss_path`): closures over
+  the live L2/LLC/DRAM containers that mirror
+  ``CacheHierarchy.access``/``writeback`` operation for operation. A
+  hierarchy with non-default components keeps the live python methods
+  instead (counted as ``miss-path-live`` in :data:`DECLINES`).
 
-  - **Address columns** — physical addresses via ``ArrayPageTable``
-    (``cols.ppn``), line addresses, and set indices, array-wise.
-  - **TLB stream** — a scratch :class:`TlbHierarchy` is driven through
-    the whole trace once; each access is classified L1-hit / L2-hit /
-    walk, and structural snapshots are taken every :data:`STRIDE`
-    accesses so any position's TLB state can be reconstructed. TLB
-    state evolution is independent of the cache geometry and of the
-    walker (which only contributes latency), so one stream serves every
-    cell replaying the trace.
-  - **Speculation stream** — the *real* ``SiptL1Cache._speculate`` is
-    driven (unbound, over a minimal shim holding real perceptron/IDB
-    instances) to produce per-access fast/extra/outcome columns, again
-    with strided snapshots. Single source of truth: the kernel never
-    reimplements predictor semantics.
-  - **Latency/port columns** — speculative-hit latencies, port-conflict
-    chaining, and per-access instruction/cycle increments, vectorized.
-    Page-walk accesses get a sentinel latency and are resolved at
-    replay time through the real walker (walker loads are demand
-    traffic into the live L2/LLC and cannot be precomputed).
+All structural state lives in the live components, so every range
+starts from whatever the context holds — a fresh build, the previous
+chunk, or a ``load_state_dict`` restore — and chunked, checkpointed
+and resumed replays chain with nothing to verify. Counters run in
+loop locals and are folded into the live stats objects at range end
+(:func:`_fold`), so ``state_dict()`` and the metrics registry always
+see oracle state between ranges.
 
-* Serial residue (the generated ``_loop`` function, specialized per
-  core model and way-prediction setting): L1 array probes, LRU
-  touches, fills/evictions, way prediction, and the core's stall
-  arithmetic in the oracle's exact floating-point operation order.
-  L1 misses are serviced inline by the **compiled miss path**
-  (:func:`_compile_miss_path`): closures over the live L2/LLC/DRAM
-  containers that mirror ``CacheHierarchy.access``/``writeback``
-  operation-for-operation — probe, LRU, write-back cascades, DRAM
-  row-buffer timing — with stats deltas folded at chunk boundaries.
-  A hierarchy with non-default components keeps the live python
-  methods instead (counted as ``miss-path-live`` in
-  :data:`DECLINES`).
+The only per-trace artifacts are derived columns memoized on
+:meth:`TraceColumns.kernel_memo`: physical addresses, L1 line and set
+index, width-scaled gaps, the instruction prefix sum, whether the
+speculated index bits survive translation, and the perceptron entry
+per PC.
 
-The engine's envelope covers all three core models: the analytic
+The envelope covers all three core models: the analytic
 ``ooo``/``inorder`` cores compile to pure stall arithmetic, while
-``ooo-detailed`` runs as a hybrid — the core's issue/retire recurrence
-stays live inside the generated loop (it is real state, not foldable
-arithmetic) and everything around it is streamed.
-:func:`run_multicore_kernel` extends the same machinery to
-``simulate_multicore``: per-core streams and compiled miss paths over
-the shared LLC/DRAM containers, interleaved round-robin exactly like
-the oracle loop. Declined configurations are counted per reason in
-:data:`DECLINES` (``REPRO_KERNEL_DEBUG=1`` re-raises build failures).
+``ooo-detailed`` keeps its live ``retire``/``memory_access`` calls in
+the loop (its issue/retire recurrence is real state).
+:func:`run_multicore_kernel` compiles the same pass as a generator
+that yields after every access, so the round-robin driver interleaves
+cores exactly like the oracle loop over the shared LLC/DRAM.
 
 **Oracle equivalence.** ``simulate(engine="kernel")`` must produce
-byte-identical results to the python path. The engine verifies its
-assumptions (TLB/predictor state matches the stream reconstruction,
-port state matches the extra-access history) whenever it cannot prove
-continuity, and permanently falls back to the oracle callable on any
-mismatch or unsupported configuration — so a poisoned predictor, an
-exotic replacement policy, or a subclassed core silently gets the
-oracle's behaviour, including its exceptions.
-
-Stream scratch objects are shared per-process (like the
-``TraceColumns`` list conversions); the driver replays cells
-sequentially in a process, so no locking is needed.
+byte-identical results to the python path. Anything the pass does not
+model declines at build and leaves the whole run to the oracle:
+subclassed components, non-LRU L1 replacement, page-bound IDB, and
+predictor state that is not finite ints (a NaN-poisoned perceptron
+declines as ``predictor-state``, and the oracle then raises its own
+error). Declines are counted per reason in :data:`DECLINES`
+(``REPRO_KERNEL_DEBUG=1`` re-raises build failures instead).
 
 Float-exactness notes (all proven value-identical to the oracle):
 ternary substitutes for ``min``/``max`` use ``<=``/``>=`` so ties
@@ -77,41 +72,23 @@ order the oracle adds them.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from collections import Counter
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..cache.replacement import LruPolicy
 from ..cache.tlb import TlbHierarchy
-from ..core.idb import IndexDeltaBuffer
-from ..core.outcomes import SpeculationOutcome
-from ..core.perceptron import PerceptronPredictor
-from ..core.sipt_cache import SiptL1Cache, SiptL1Stats
 from ..core.way_prediction import WayPredictor
-from ..mem.address import PAGE_SHIFT
-from ..stateutil import freeze_rows, load_rows
+from ..errors import SimulationError
+from ..mem.address import HUGE_PAGE_SHIFT, PAGE_SHIFT
 from ..timing.detailed import DetailedOooCore
 from ..timing.inorder import InOrderCore
 from ..timing.ooo import OooCore
 from ..workloads.substrate import columns_for
 
-#: Accesses between structural snapshots in the precomputed streams.
-#: Reconstructing an arbitrary position costs at most one snapshot
-#: restore plus ``STRIDE - 1`` scratch replays.
-STRIDE = 1024
-
 _PAGE_OFF_MASK = (1 << PAGE_SHIFT) - 1
-
-_OUTCOME_CODE = {
-    SpeculationOutcome.CORRECT_SPECULATION: 1,
-    SpeculationOutcome.CORRECT_BYPASS: 2,
-    SpeculationOutcome.OPPORTUNITY_LOSS: 3,
-    SpeculationOutcome.EXTRA_ACCESS: 4,
-    SpeculationOutcome.IDB_HIT: 5,
-}
 
 #: Why engines were not built, by reason, process-wide. Deliberately a
 #: module-level counter rather than a ``SimResult`` field or registry
@@ -136,272 +113,6 @@ def decline_counts() -> dict:
 def reset_declines() -> None:
     """Zero the decline counters (test isolation)."""
     DECLINES.clear()
-
-
-def _cum(mask) -> np.ndarray:
-    """Length ``n + 1`` inclusive-prefix-sum with a leading zero.
-
-    ``out[j]`` counts true elements among the first ``j`` accesses, so
-    any range total is ``out[end] - out[start]``.
-    """
-    out = np.zeros(len(mask) + 1, dtype=np.int64)
-    np.cumsum(mask, out=out[1:])
-    return out
-
-
-# ----------------------------------------------------------------------
-# TLB snapshot / restore / copy (operates on _TlbArray internals, the
-# same planes TlbHierarchy.state_dict serializes)
-# ----------------------------------------------------------------------
-
-def _snap_tlb_array(arr) -> tuple:
-    """Immutable value snapshot of one ``_TlbArray``."""
-    return (freeze_rows(arr._tags), freeze_rows(arr._entries),
-            tuple(bytes(s) for s in arr._policy._stacks))
-
-
-def _load_tlb_array(arr, snap) -> None:
-    """Restore a ``_snap_tlb_array`` snapshot in place."""
-    tags, entries, stacks = snap
-    load_rows(arr._tags, tags)
-    load_rows(arr._entries, entries)
-    for stack, saved in zip(arr._policy._stacks, stacks):
-        stack[:] = saved
-    where = arr._where
-    where.clear()
-    for set_index, row in enumerate(arr._tags):
-        for way, key in enumerate(row):
-            if key is not None:
-                where[key] = (set_index, way)
-
-
-def _copy_tlb_array(src, dst) -> None:
-    """Copy one ``_TlbArray``'s state onto another, in place."""
-    load_rows(dst._tags, src._tags)
-    load_rows(dst._entries, src._entries)
-    for d, s in zip(dst._policy._stacks, src._policy._stacks):
-        d[:] = s
-    where = dst._where
-    where.clear()
-    where.update(src._where)
-
-
-def _snap_tlb(tlb: TlbHierarchy) -> tuple:
-    """Structural snapshot of all three TLB levels (stats excluded)."""
-    return (_snap_tlb_array(tlb._l1_4k), _snap_tlb_array(tlb._l1_2m),
-            _snap_tlb_array(tlb._l2))
-
-
-def _load_tlb(tlb: TlbHierarchy, snap) -> None:
-    """Restore a :func:`_snap_tlb` snapshot in place."""
-    _load_tlb_array(tlb._l1_4k, snap[0])
-    _load_tlb_array(tlb._l1_2m, snap[1])
-    _load_tlb_array(tlb._l2, snap[2])
-
-
-def _copy_tlb(src: TlbHierarchy, dst: TlbHierarchy) -> None:
-    """Copy scratch TLB structural state onto the live hierarchy."""
-    _copy_tlb_array(src._l1_4k, dst._l1_4k)
-    _copy_tlb_array(src._l1_2m, dst._l1_2m)
-    _copy_tlb_array(src._l2, dst._l2)
-
-
-# ----------------------------------------------------------------------
-# precomputed streams
-# ----------------------------------------------------------------------
-
-class _TlbStream:
-    """Per-trace TLB behaviour: classification columns + replayable state.
-
-    Built by driving a scratch :class:`TlbHierarchy` (walker-less — the
-    walker affects latency and its own stats, never which entries the
-    TLB holds) through the whole trace once. ``cls[i]`` is 0 for an L1
-    hit, 1 for an L2 hit, 2 for a walk. ``snaps[j]`` is the structural
-    state after ``j * STRIDE`` accesses; :meth:`advance` reconstructs
-    any position from the nearest snapshot at or below it.
-    """
-
-    def __init__(self, va: list, page_table, params: dict):
-        self.va = va
-        self.page_table = page_table
-        self.scratch = TlbHierarchy(**params)
-        n = len(va)
-        cls = np.empty(n, dtype=np.int8)
-        snaps = [_snap_tlb(self.scratch)]
-        translate = self.scratch.translate
-        for i, v in enumerate(va):
-            tr = translate(v, page_table)
-            cls[i] = 0 if tr.l1_hit else (2 if tr.walked else 1)
-            if (i + 1) % STRIDE == 0:
-                snaps.append(_snap_tlb(self.scratch))
-        self.cls = cls
-        self.snaps = snaps
-        self.cum_l1 = _cum(cls == 0)
-        self.cum_l2 = _cum(cls == 1)
-        self.cum_walk = _cum(cls == 2)
-        self.walk_pos: List[int] = np.nonzero(cls == 2)[0].tolist()
-        self.pos = n
-
-    def advance(self, target: int) -> None:
-        """Bring the scratch hierarchy to the state after ``target``."""
-        pos = self.pos
-        base = target - target % STRIDE
-        if pos > target or pos < base:
-            _load_tlb(self.scratch, self.snaps[target // STRIDE])
-            pos = base
-        if pos < target:
-            translate = self.scratch.translate
-            page_table = self.page_table
-            va = self.va
-            for i in range(pos, target):
-                translate(va[i], page_table)
-        self.pos = target
-
-    def snap_at(self, target: int) -> tuple:
-        """Snapshot of the state after ``target`` accesses."""
-        if target % STRIDE == 0:
-            return self.snaps[target // STRIDE]
-        self.advance(target)
-        return _snap_tlb(self.scratch)
-
-
-class _SpecShim:
-    """The slice of ``SiptL1Cache`` that ``_speculate`` reads.
-
-    Holds *real* predictor instances so the unbound method runs the
-    real policy logic — the kernel mirrors no speculation semantics.
-    """
-
-    __slots__ = ("_spec_mask", "stats", "_is_naive", "_is_bypass",
-                 "_predict_train", "_idb_predict_update",
-                 "perceptron", "idb")
-
-    def __init__(self, n_spec_bits: int, is_naive: bool, is_bypass: bool,
-                 perc_params: Optional[tuple],
-                 idb_params: Optional[tuple]):
-        self._spec_mask = (1 << n_spec_bits) - 1
-        self.stats = SiptL1Stats()
-        self._is_naive = is_naive
-        self._is_bypass = is_bypass
-        self.perceptron = (PerceptronPredictor(*perc_params)
-                           if perc_params is not None else None)
-        self.idb = (IndexDeltaBuffer(*idb_params)
-                    if idb_params is not None else None)
-        self._predict_train = (self.perceptron.predict_train
-                               if self.perceptron is not None else None)
-        self._idb_predict_update = (self.idb.predict_update
-                                    if self.idb is not None else None)
-
-
-def _snap_spec(perceptron, idb) -> tuple:
-    """Value snapshot of (perceptron, IDB) structural state."""
-    return (
-        (freeze_rows(perceptron._weights), tuple(perceptron._history))
-        if perceptron is not None else None,
-        (tuple(idb._deltas), tuple(idb._last_page))
-        if idb is not None else None,
-    )
-
-
-class _SpecStream:
-    """Per-(trace, spec-config) speculation outcomes + replayable state.
-
-    ``fast``/``extra``/``code``/``via`` columns come from driving the
-    real ``SiptL1Cache._speculate`` over a :class:`_SpecShim`;
-    ``corr[i + 1]`` is the perceptron's absolute correct count after
-    access ``i`` (its own prefix-sum). Snapshots every :data:`STRIDE`
-    accesses mirror :class:`_TlbStream`.
-    """
-
-    def __init__(self, pc: list, va: list, pa: list, shim_args: tuple):
-        self.pc, self.va, self.pa = pc, va, pa
-        shim = _SpecShim(*shim_args)
-        self.shim = shim
-        self.stateless = shim.perceptron is None and shim.idb is None
-        n = len(pc)
-        fast = np.empty(n, dtype=np.uint8)
-        extra = np.empty(n, dtype=np.uint8)
-        code = np.empty(n, dtype=np.uint8)
-        via = np.empty(n, dtype=np.uint8)
-        corr = np.zeros(n + 1, dtype=np.int64)
-        speculate = SiptL1Cache._speculate
-        perc = shim.perceptron
-        snaps = [_snap_spec(perc, shim.idb)]
-        for i in range(n):
-            f, e, outcome, v = speculate(shim, pc[i], va[i], pa[i])
-            fast[i] = f
-            extra[i] = e
-            code[i] = _OUTCOME_CODE[outcome]
-            via[i] = v
-            if perc is not None:
-                corr[i + 1] = perc.stats.correct
-            if (i + 1) % STRIDE == 0:
-                snaps.append(_snap_spec(perc, shim.idb))
-        self.fast = fast
-        self.extra = extra
-        self.snaps = snaps
-        self.cum_fast = _cum(fast)
-        self.cum_extra = _cum(extra)
-        self.cum_outcomes = {c: _cum(code == c) for c in range(1, 6)}
-        self.cum_via = _cum(via)
-        self.cum_ea_via = _cum((code == 4) & (via == 1))
-        # NAIVE/COMBINED probe on every access; BYPASS only on an
-        # endorsed speculation (outcomes CS or EA). None means "all".
-        is_bypass = shim_args[2]
-        self.cum_probes = (_cum((code == 1) | (code == 4))
-                           if is_bypass else None)
-        self.corr = corr
-        self.pos = n
-
-    def _snap(self) -> tuple:
-        return _snap_spec(self.shim.perceptron, self.shim.idb)
-
-    def _load(self, snap) -> None:
-        perc_snap, idb_snap = snap
-        shim = self.shim
-        if perc_snap is not None:
-            load_rows(shim.perceptron._weights, perc_snap[0])
-            shim.perceptron._history[:] = perc_snap[1]
-        if idb_snap is not None:
-            shim.idb._deltas[:] = idb_snap[0]
-            shim.idb._last_page[:] = idb_snap[1]
-
-    def advance(self, target: int) -> None:
-        """Bring the shim's predictors to the state after ``target``."""
-        if self.stateless:
-            self.pos = target
-            return
-        pos = self.pos
-        base = target - target % STRIDE
-        if pos > target or pos < base:
-            self._load(self.snaps[target // STRIDE])
-            pos = base
-        if pos < target:
-            speculate = SiptL1Cache._speculate
-            shim = self.shim
-            pc, va, pa = self.pc, self.va, self.pa
-            for i in range(pos, target):
-                speculate(shim, pc[i], va[i], pa[i])
-        self.pos = target
-
-    def snap_at(self, target: int) -> tuple:
-        """Snapshot of the predictor state after ``target`` accesses."""
-        if self.stateless or target % STRIDE == 0:
-            return self.snaps[min(target // STRIDE,
-                                  len(self.snaps) - 1)] \
-                if not self.stateless else self.snaps[0]
-        self.advance(target)
-        return self._snap()
-
-    def copy_into(self, perceptron, idb) -> None:
-        """Copy shim predictor state onto the live predictors."""
-        shim = self.shim
-        if perceptron is not None:
-            load_rows(perceptron._weights, shim.perceptron._weights)
-            perceptron._history[:] = shim.perceptron._history
-        if idb is not None:
-            idb._deltas[:] = shim.idb._deltas
-            idb._last_page[:] = shim.idb._last_page
 
 
 # ----------------------------------------------------------------------
@@ -673,17 +384,40 @@ def _compile_miss_path(mp):
 
 
 # ----------------------------------------------------------------------
-# the serial-residue loop, specialized per (core model, way prediction)
+# the one-pass loop, specialized per (core, speculation, way prediction)
 # ----------------------------------------------------------------------
 
-#: Lines prefixed {OOO}/{INO}/{ANA}/{DET}/{WP}/{NOWP} are kept only
-#: for the matching specialization: {OOO}/{INO} are the analytic
-#: cores' stall arithmetic, {ANA} is shared by both analytic kinds,
-#: and {DET} keeps the detailed core's live ``retire``/
-#: ``memory_access`` calls in the loop (its issue/retire recurrence is
-#: real state, not foldable arithmetic — the ``gapw`` column then
-#: carries raw instruction gaps, not width-scaled floats). Core
-#: constants are literals, mirrored from OooCore/InOrderCore (the
+#: Arguments bound once per engine, in signature order after the rows
+#: and the per-range state (see :func:`_plan`). Containers are the live
+#: components' own, so every write lands in oracle state.
+_LOOP_PARAMS = (
+    # translation: L1 TLB arrays and the live fallback for a miss
+    "w2m", "s2m", "w4k", "s4k", "asid", "ps", "hps", "translate",
+    "page_table", "tl1_lat",
+    # speculation: perceptron rows/sizing, IDB tables
+    "weights", "p_n", "hlen1", "hmask", "theta", "cmax", "cmin",
+    "deltas", "last_page", "i_n", "imask",
+    # latency and the L1 port (fast/extra are the non-SIPT constants)
+    "hit_lat", "window", "ccyc", "fast", "extra",
+    # the L1 array and the miss path below it
+    "wheres", "stacks", "dirty", "tags", "n_ways", "miss_access",
+    "miss_writeback", "line_shift", "wp_penalty",
+    # the core model
+    "mlp", "rob_half", "inv_w", "width", "retire", "memory_access",
+)
+
+#: Lines prefixed ``{X}`` are kept only when flag ``X`` is set for the
+#: specialization (:func:`_compile_loop`). Core flags: {OOO}/{INO} are
+#: the analytic cores' stall arithmetic, {ANA} is shared by both, and
+#: {DET} keeps the detailed core's live ``retire``/``memory_access``
+#: calls (its issue/retire recurrence is real state, not foldable
+#: arithmetic — ``gapw`` then carries raw instruction gaps, not
+#: width-scaled floats). Speculation flags: {SIPT} any speculating
+#: variant, {NAIVE}, {PERC} perceptron variants (BYPASS and COMBINED),
+#: {BYP}, {COMB}, and COMBINED's value predictor — {IDB}, or {REV} for
+#: the 1-bit reversed prediction. {WP}/{NOWP} select way prediction;
+#: {MC} makes the pass a generator that yields after every access.
+#: Core constants are literals, mirrored from OooCore/InOrderCore (the
 #: engine gate requires those exact types): PIPELINE_HIDE=2.0,
 #: NEAR_LATENCY=16, dep factors 0.22/0.08/0.02 at thresholds 2/8,
 #: L2_CLASS_EXPOSURE=0.45 (every dep factor is below it, so the
@@ -691,26 +425,118 @@ def _compile_miss_path(mp):
 #: in-order STORE_STALL_FRACTION=0.3 past 4 cycles, HIT_EXPOSURE=0.4
 #: at latency<=8, MISS_EXPOSURE=1.0.
 _LOOP_TEMPLATE = """\
-def _loop(rows, walks, walk_i, walker_walk, walk_base, asid, hit_lat,
-          wheres, stacks, dirty, tags, n_ways, miss_access,
-          miss_writeback, line_shift, wp_penalty, mlp, rob_half,
-          inv_w, width, cyc, ld_stall, st_stall, retire,
-          memory_access):
-    hits = 0
-    evics = 0
-    l1_wb = 0
-    wp_pred = 0
-    wp_corr = 0
-    wp_sec = 0
-    for gapw, is_write, dep, pa, line, sidx, lat, fast in rows:
+    hits = evics = l1_wb = wp_pred = wp_corr = wp_sec = 0
+    tl1 = pconf = n_fast = n_extra = n_ol = n_via = n_idb = pcorr = 0
+    last_vpn = -1
+{PERC}    ycache = [{} for _ in range(p_n)]
+    for (gap, gapw, pc, va, is_write, dep, pa, line, sidx, unchanged,
+         pe) in rows:
 {DET}        retire(gapw)
-        if lat < 0:
-            ev = walks[walk_i]
-            walk_i += 1
-            t = walk_base + walker_walk(ev[0], asid)
-            lat = ((hit_lat if hit_lat > t else t) if fast
-                   else t + hit_lat)
-            lat += ev[1]
+        # TlbHierarchy.translate: the L1 hit paths inline (2M array
+        # first, skipped while it is empty), the live method for L2
+        # hits and walks (walker loads, fills, and their stats in the
+        # oracle's order). The previous access's translation left its
+        # page's entry MRU in an L1 TLB array and nothing touched the
+        # TLB since, so a repeat of that page is an L1 hit whose LRU
+        # touch is a no-op.
+        vpn = va >> ps
+        if vpn == last_vpn:
+            tl1 += 1
+            t_lat = tl1_lat
+        else:
+            last_vpn = vpn
+            loc = w2m.get((asid, va >> hps)) if w2m else None
+            if loc is not None:
+                tst = s2m[loc[0]]
+            else:
+                loc = w4k.get((asid, vpn))
+                if loc is not None:
+                    tst = s4k[loc[0]]
+            if loc is None:
+                t_lat = translate(va, page_table).latency
+            else:
+                tl1 += 1
+                t_lat = tl1_lat
+                tw = loc[1]
+                if tst[0] != tw:
+                    tst.remove(tw)
+                    tst.insert(0, tw)
+{NAIVE}        spec = True
+{PERC}        # PerceptronPredictor.predict_train over the live rows; the
+{PERC}        # global history is the bitmask hb (bit j = history[j]).
+{PERC}        yc = ycache[pe]
+{PERC}        y = yc.get(hb)
+{PERC}        if y is None:
+{PERC}            wts = weights[pe]
+{PERC}            y = wts[0]
+{PERC}            bits = hb
+{PERC}            for j in range(1, hlen1):
+{PERC}                w = wts[j]
+{PERC}                y += w if bits & 1 else -w
+{PERC}                bits >>= 1
+{PERC}            # The oracle's guard: the build declines non-int weights,
+{PERC}            # but a checkpoint restored after it may carry NaN rows.
+{PERC}            if y != y or y in _NONFINITE:
+{PERC}                raise _nonfinite(pe)
+{PERC}            yc[hb] = y
+{PERC}        spec = y >= 0
+{PERC}        if spec == unchanged:
+{PERC}            pcorr += 1
+{PERC}        if spec != unchanged or (y if spec else -y) <= theta:
+{PERC}            t = 1 if unchanged else -1
+{PERC}            wts = weights[pe]
+{PERC}            w = wts[0] + t
+{PERC}            wts[0] = cmax if w > cmax else (cmin if w < cmin else w)
+{PERC}            bits = hb
+{PERC}            for j in range(1, hlen1):
+{PERC}                w = wts[j] + (t if bits & 1 else -t)
+{PERC}                wts[j] = cmax if w > cmax else (cmin if w < cmin
+{PERC}                                                 else w)
+{PERC}                bits >>= 1
+{PERC}            yc.clear()
+{PERC}        hb = ((hb << 1) | unchanged) & hmask
+{SIPT}        if spec:
+{SIPT}            if unchanged:
+{SIPT}                fast = True
+{SIPT}                extra = False
+{SIPT}                n_fast += 1
+{SIPT}            else:
+{SIPT}                fast = False
+{SIPT}                extra = True
+{SIPT}                n_extra += 1
+{BYP}        else:
+{BYP}            fast = False
+{BYP}            extra = False
+{BYP}            if unchanged:
+{BYP}                n_ol += 1
+{COMB}        else:
+{COMB}            n_via += 1
+{IDB}            # IndexDeltaBuffer.predict_update over the live tables.
+{IDB}            ie = ((pc >> 2) ^ (pc >> 9)) % i_n
+{IDB}            page = va >> ps
+{IDB}            iv = page & imask
+{IDB}            ip = (pa >> ps) & imask
+{IDB}            hit = ((iv + deltas[ie]) & imask) == ip
+{IDB}            deltas[ie] = (ip - iv) & imask
+{IDB}            last_page[ie] = page
+{REV}            hit = not unchanged   # the one bit, flipped
+{COMB}            if hit:
+{COMB}                fast = True
+{COMB}                extra = False
+{COMB}                n_fast += 1
+{COMB}                n_idb += 1
+{COMB}            else:
+{COMB}                fast = False
+{COMB}                extra = True
+{COMB}                n_extra += 1
+        if fast:
+            lat = hit_lat if hit_lat > t_lat else t_lat
+        else:
+            lat = t_lat + hit_lat
+        if port_busy and gap < window:
+            lat += ccyc
+            pconf += 1
+        port_busy = extra
 {WP}        st = stacks[sidx]
 {WP}        predicted = st[0] if fast else -1
         w = wheres[sidx]
@@ -733,7 +559,7 @@ def _loop(rows, walks, walk_i, walker_walk, walk_base, asid, hit_lat,
         else:
             # Inline SetAssociativeCache._fill over the live arrays
             # (free-way scan, LRU victim, dirty write-back), with the
-            # eviction/writeback/fill counts delta-folded at flush.
+            # eviction/writeback/fill counts delta-folded at range end.
             # The where-dict holds exactly the occupied ways, so its
             # size tells free-way vs eviction without scanning.
             row = tags[sidx]
@@ -791,41 +617,56 @@ def _loop(rows, walks, walk_i, walker_walk, walk_base, asid, hit_lat,
 {INO}            ld_stall += exposed
 {INO}            cyc += exposed
 {DET}        memory_access(lat, is_write, dep)
-    return (cyc, ld_stall, st_stall, hits, evics, l1_wb,
-            wp_pred, wp_corr, wp_sec, walk_i)
+{MC}        yield
+    return (cyc, ld_stall, st_stall, port_busy, hb, hits, evics, l1_wb,
+            wp_pred, wp_corr, wp_sec, tl1, pconf, n_fast, n_extra, n_ol,
+            n_via, n_idb, pcorr)
 """
 
 _LOOP_CACHE: dict = {}
 
 
-def _compile_loop(kind: str, way_pred: bool) -> Callable:
-    """The residue loop for one (core-kind, way-prediction) pair.
+def _nonfinite(entry: int) -> SimulationError:
+    """The oracle's error for a non-finite perceptron activation."""
+    return SimulationError(
+        f"perceptron entry {entry} produced a "
+        "non-finite activation; predictor state is corrupt")
 
-    ``kind`` is ``"ooo"``/``"ino"`` (analytic stall arithmetic inlined
-    as literals) or ``"det"`` (the detailed core runs live inside the
-    loop; translation, speculation, latency, and the L1 arrays still
-    come from the precomputed streams).
+
+def _compile_loop(kind: tuple, way_pred: bool) -> Callable:
+    """The one-pass loop for one specialization.
+
+    ``kind`` is ``(core, spec, stepwise)``: core ``"ooo"``/``"ino"``
+    (analytic stall arithmetic inlined as literals) or ``"det"`` (the
+    detailed core runs live inside the loop); spec ``"none"``,
+    ``"naive"``, ``"bypass"``, ``"idb"`` or ``"rev"`` (COMBINED with
+    the IDB, or with the 1-bit reversed prediction); ``stepwise``
+    compiles a generator for the multicore round-robin.
     """
     key = (kind, way_pred)
     fn = _LOOP_CACHE.get(key)
     if fn is None:
-        lines = []
+        core, spec, stepwise = kind
+        flags = {"OOO": core == "ooo", "INO": core == "ino",
+                 "ANA": core != "det", "DET": core == "det",
+                 "WP": way_pred, "NOWP": not way_pred,
+                 "SIPT": spec != "none", "NAIVE": spec == "naive",
+                 "PERC": spec in ("bypass", "idb", "rev"),
+                 "BYP": spec == "bypass", "COMB": spec in ("idb", "rev"),
+                 "IDB": spec == "idb", "REV": spec == "rev",
+                 "MC": stepwise}
+        lines = ["def _loop(rows, cyc, ld_stall, st_stall, port_busy, hb, "
+                 + ", ".join(_LOOP_PARAMS) + "):"]
         for line in _LOOP_TEMPLATE.splitlines():
-            for marker, keep in (("{OOO}", kind == "ooo"),
-                                 ("{INO}", kind == "ino"),
-                                 ("{ANA}", kind != "det"),
-                                 ("{DET}", kind == "det"),
-                                 ("{WP}", way_pred),
-                                 ("{NOWP}", not way_pred)):
-                if line.startswith(marker):
-                    line = line[len(marker):] if keep else None
-                    break
-            if line is not None:
-                lines.append(line)
-        namespace: dict = {}
+            if line.startswith("{"):
+                marker, _, line = line[1:].partition("}")
+                if not flags[marker]:
+                    continue
+            lines.append(line)
+        namespace: dict = {"_nonfinite": _nonfinite,
+                           "_NONFINITE": (float("inf"), float("-inf"))}
         exec("\n".join(lines), namespace)  # noqa: S102 — own template
-        fn = namespace["_loop"]
-        _LOOP_CACHE[key] = fn
+        fn = _LOOP_CACHE[key] = namespace["_loop"]
     return fn
 
 
@@ -833,296 +674,199 @@ def _compile_loop(kind: str, way_pred: bool) -> Callable:
 # the engine
 # ----------------------------------------------------------------------
 
-class KernelEngine:
-    """Replays ranges of one context's trace via precomputed streams.
+class _Plan:
+    """One context's compiled pass: loop, row columns, bound arguments."""
 
-    Drop-in for ``driver._replay_range`` (same ``(ctx, start, end)``
-    signature via :meth:`replay`). Built by :func:`make_engine`; holds
-    the oracle callable and delegates to it permanently after any
-    verification failure, reproducing the oracle's behaviour —
-    including its exceptions — byte-for-byte.
+    __slots__ = ("loop", "columns", "args", "cum_inst", "mp")
+
+
+def _start(ctx, plan: _Plan, rows):
+    """Call the pass on ``rows``, seeded from the context's live state.
+
+    The per-range state is what the oracle keeps outside the
+    components: the analytic core's float accumulators, the port-busy
+    flag, and the perceptron history (as a bitmask, bit j =
+    ``history[j] > 0``). Everything else the loop reads and writes in
+    place.
     """
-
-    def __init__(self, ctx, oracle, streams):
-        self._ctx = ctx
-        self._oracle = oracle
-        self._tlb_stream = streams.ts
-        self._spec_stream = streams.ss
-        # columns: (gap, is_write, dep, pa, line, sidx, lat, fast) —
-        # gap is width-scaled floats for the analytic cores, raw
-        # instruction counts for the detailed core's live retire().
-        self._columns = streams.columns
-        self._walk_events = streams.walk_events
-        self._walk_pos = streams.walk_pos
-        self._cum_pconf = streams.cum_pconf
-        self._cum_inst = streams.cum_inst
-        self._extra = streams.extra
-        self._mp = streams.mp
-        self._detailed = streams.kind == "det"
-        l1 = ctx.l1
-        self._loop = _compile_loop(streams.kind,
-                                   l1.way_predictor is not None)
-        self._l1 = l1
-        self._cache = l1.cache
-        self._tlb = l1.tlb
-        self._core = ctx.core
-        self._synced: Optional[int] = None
-        self._fallback = False
-        self._cursor = None
-
-    # -- public protocol -------------------------------------------------
-    def replay(self, ctx, start: int, end: int) -> None:
-        """Replay accesses ``[start, end)``, chaining like the oracle."""
-        if self._fallback:
-            self._oracle(ctx, start, end)
-            return
-        if start != self._synced and not self._verify(start):
-            self._fallback = True
-            self._oracle(ctx, start, end)
-            return
-        if end > start:
-            self._run(start, end)
-        self._synced = end
-
-    # -- verification ----------------------------------------------------
-    def _verify(self, start: int) -> bool:
-        """Does the live context state match the streams at ``start``?
-
-        Checked: TLB structural state, predictor weights/history/
-        deltas, and the port-busy flag against the extra-access
-        history. Stats are *not* checked — they are carried by the
-        context and the kernel only ever adds deltas to them. The live
-        L1 array, miss path, and walker are driven directly and carry
-        no precomputed assumption.
-        """
-        try:
-            if _snap_tlb(self._tlb) != self._tlb_stream.snap_at(start):
-                return False
-            ss = self._spec_stream
-            if ss is not None and _snap_spec(
-                    self._l1.perceptron, self._l1.idb) != ss.snap_at(start):
-                return False
-            expect_busy = bool(self._extra[start - 1]) if start else False
-            if bool(self._ctx._port_busy) != expect_busy:
-                return False
-        except Exception:  # noqa: BLE001 — any doubt means oracle
-            return False
-        return True
-
-    # -- hot path --------------------------------------------------------
-    def _run(self, start: int, end: int) -> None:
-        ctx = self._ctx
-        cache = self._cache
-        core = self._core
-        cursor = self._cursor
-        if cursor is not None and cursor[0] == start:
-            it = cursor[1]
-        else:
-            it = zip(*self._columns)
-            if start:
-                next(islice(it, start - 1, start), None)
-        self._cursor = None
-        walker = self._tlb.walker
-        tlb = self._tlb
-        walk_base = tlb.l1_latency + tlb.l2_latency
-        if walker is not None:
-            walker_walk = walker.walk
-        else:
-            fixed = tlb.walk_latency
-            walker_walk = lambda va, asid: fixed  # noqa: E731
-        wp = self._l1.way_predictor
-        stats = core.stats
-        if type(core) is OooCore:
-            mlp = core.mlp
-            rob_half = core._rob_cover * 0.5
-        else:
-            mlp = 1.0
-            rob_half = 0.0
-        mp = self._mp
-        if mp is not None:
-            miss_access, miss_writeback = mp[0], mp[1]
-        else:
-            miss_access = ctx._miss_access
-            miss_writeback = ctx._miss_writeback
-        (cyc, ld_stall, st_stall, hits, evics, l1_wb,
-         wp_pred, wp_corr, wp_sec, _walk_i) = self._loop(
-            islice(it, end - start),
-            self._walk_events, bisect_left(self._walk_pos, start),
-            walker_walk, walk_base, ctx._page_table.asid,
-            self._l1.hit_latency,
-            cache._where, cache.policy._stacks, cache._dirty,
-            cache._tags, cache.n_ways, miss_access, miss_writeback,
-            ctx._line_shift,
-            wp.mispredict_penalty if wp is not None else 0,
-            mlp, rob_half, 1.0 / core.width, core.width,
-            stats.cycles, stats.load_stall_cycles,
-            stats.store_stall_cycles, ctx._retire, ctx._memory_access)
-        if not self._detailed:
-            # The detailed core updated its own stats live inside the
-            # loop; the analytic cores' arithmetic ran on locals.
-            stats.cycles = cyc
-            stats.load_stall_cycles = ld_stall
-            stats.store_stall_cycles = st_stall
-        self._cursor = (end, it)
-        self._flush(start, end, hits, evics, l1_wb,
-                    wp_pred, wp_corr, wp_sec)
-
-    def _flush(self, start: int, end: int, hits: int, evics: int,
-               l1_wb: int,
-               wp_pred: int, wp_corr: int, wp_sec: int) -> None:
-        """Fold the range's counter deltas in and sync structures."""
-        if self._mp is not None:
-            self._mp[2]()
-        # Every L1 miss fills, so the loop doesn't count fills.
-        _fold_range(self._ctx, self._tlb_stream, self._spec_stream,
-                    self._cum_pconf, self._cum_inst, self._extra,
-                    start, end, hits, wp_pred, wp_corr, wp_sec,
-                    evics=evics, l1_wb=l1_wb,
-                    fills=(end - start) - hits,
-                    fold_instructions=not self._detailed)
+    stats = ctx.core.stats
+    hb = 0
+    perc = ctx.l1.perceptron
+    if perc is not None:
+        for j, x in enumerate(perc._history):
+            if x > 0:
+                hb |= 1 << j
+    return plan.loop(rows, stats.cycles, stats.load_stall_cycles,
+                     stats.store_stall_cycles, ctx._port_busy, hb,
+                     *plan.args)
 
 
-def _fold_range(ctx, ts, ss, cum_pconf, cum_inst, extra,
-                start: int, end: int, hits: int,
-                wp_pred: int, wp_corr: int, wp_sec: int,
-                evics: int = 0, l1_wb: int = 0, fills: int = 0,
-                fold_instructions: bool = True) -> None:
-    """Fold a replayed range's counter deltas in and sync structures.
+def _fold(ctx, plan: _Plan, start: int, end: int, out: tuple) -> None:
+    """Fold a replayed range's counters and per-range state into ``ctx``.
 
-    Shared by :meth:`KernelEngine._flush` (after every chunk) and the
-    multicore engine (once per core when its first pass completes).
-    ``evics``/``l1_wb``/``fills`` come from the generated loop's
-    inlined L1 fill; the multicore residue fills through the live
-    ``_fill`` (which counts them itself) and passes zeros.
-    ``fold_instructions`` is False when the core model ran live inside
-    the loop (the detailed core, and every core under the multicore
-    engine) and already counted its own instructions and cycles.
+    ``out`` is the loop's return tuple. Outcome counts are derived from
+    the few the loop keeps: every access is exactly one of fast, extra,
+    opportunity loss or correct bypass; NAIVE/COMBINED accesses are all
+    fast or extra, which is why speculative probes are ``fast + extra``
+    for every variant (BYPASS probes only when it speculates); and
+    fast IDB/reversed predictions are the COMBINED fast accesses that
+    did not come from an endorsed speculation.
     """
-    l1 = ctx.l1
-    tlb = l1.tlb
+    (cyc, ld_stall, st_stall, port_busy, hb, hits, evics, l1_wb,
+     wp_pred, wp_corr, wp_sec, tl1, pconf, n_fast, n_extra, n_ol,
+     n_via, n_idb, pcorr) = out
+    if plan.mp is not None:
+        plan.mp[2]()
     d = end - start
-    tstats = tlb.stats
-    tstats.accesses += d
-    tstats.l1_hits += int(ts.cum_l1[end] - ts.cum_l1[start])
-    tstats.l2_hits += int(ts.cum_l2[end] - ts.cum_l2[start])
-    tstats.walks += int(ts.cum_walk[end] - ts.cum_walk[start])
+    l1 = ctx.l1
+    if plan.cum_inst is not None:
+        # The analytic cores ran on locals; the detailed core updated
+        # its own stats live inside the loop.
+        stats = ctx.core.stats
+        stats.instructions += int(plan.cum_inst[end]
+                                  - plan.cum_inst[start])
+        stats.cycles = cyc
+        stats.load_stall_cycles = ld_stall
+        stats.store_stall_cycles = st_stall
+    ctx._port_busy = port_busy
+    ctx.port_conflicts += pconf
+    # Inline L1 TLB hits; translate() counted the misses itself.
+    tstats = l1.tlb.stats
+    tstats.accesses += tl1
+    tstats.l1_hits += tl1
+    misses = d - hits
     cstats = l1.cache.stats
     cstats.accesses += d
     cstats.hits += hits
-    cstats.misses += d - hits
+    cstats.misses += misses
     cstats.evictions += evics
     cstats.writebacks += l1_wb
-    cstats.fills += fills
-    if fold_instructions:
-        ctx.core.stats.instructions += int(
-            cum_inst[end] - cum_inst[start])
-    ctx.port_conflicts += int(cum_pconf[end] - cum_pconf[start])
-    ctx._port_busy = bool(extra[end - 1])
+    cstats.fills += misses
     sstats = l1.stats
     sstats.accesses += d
-    if ss is not None:
-        fast_d = int(ss.cum_fast[end] - ss.cum_fast[start])
-        sstats.fast_accesses += fast_d
-        sstats.slow_accesses += d - fast_d
-        sstats.extra_l1_accesses += int(
-            ss.cum_extra[end] - ss.cum_extra[start])
-        if ss.cum_probes is None:
-            sstats.speculative_probes += d
-        else:
-            sstats.speculative_probes += int(
-                ss.cum_probes[end] - ss.cum_probes[start])
+    if not l1._is_sipt:
+        n_fast = d if l1._default_fast else 0
+    sstats.fast_accesses += n_fast
+    sstats.slow_accesses += d - n_fast
+    sstats.extra_l1_accesses += n_extra
+    if l1._is_sipt:
+        sstats.speculative_probes += n_fast + n_extra
         outcomes = l1.outcomes
-        cums = ss.cum_outcomes
-        outcomes.correct_speculation += int(
-            cums[1][end] - cums[1][start])
-        outcomes.correct_bypass += int(cums[2][end] - cums[2][start])
-        outcomes.opportunity_loss += int(
-            cums[3][end] - cums[3][start])
-        outcomes.extra_access += int(cums[4][end] - cums[4][start])
-        outcomes.idb_hit += int(cums[5][end] - cums[5][start])
-        outcomes.extra_access_after_idb += int(
-            ss.cum_ea_via[end] - ss.cum_ea_via[start])
-        perc = l1.perceptron
-        if perc is not None:
-            perc.stats.predictions += d
-            perc.stats.correct += int(ss.corr[end] - ss.corr[start])
-        idb = l1.idb
-        if idb is not None:
-            idb_d = int(ss.cum_via[end] - ss.cum_via[start])
-            idb.stats.predictions += idb_d
-            idb.stats.updates += idb_d
-            idb.stats.hits += int(cums[5][end] - cums[5][start])
-    elif l1._default_fast:
-        sstats.fast_accesses += d
-    else:
-        sstats.slow_accesses += d
+        outcomes.correct_speculation += n_fast - n_idb
+        outcomes.correct_bypass += d - n_fast - n_extra - n_ol
+        outcomes.opportunity_loss += n_ol
+        outcomes.extra_access += n_extra
+        outcomes.idb_hit += n_idb
+        outcomes.extra_access_after_idb += n_via - n_idb
+    perc = l1.perceptron
+    if perc is not None:
+        perc.stats.predictions += d
+        perc.stats.correct += pcorr
+        history = perc._history
+        history[:] = [1 if hb >> j & 1 else -1
+                      for j in range(len(history))]
+    idb = l1.idb
+    if idb is not None:
+        idb.stats.predictions += n_via
+        idb.stats.updates += n_via
+        idb.stats.hits += n_idb
     wp = l1.way_predictor
     if wp is not None:
         wp.stats.predictions += wp_pred
         wp.stats.correct += wp_corr
         wp.stats.second_accesses += wp_sec
-    # Structural sync: scratch streams to `end`, then copy onto the
-    # live objects so state_dict()/checkpoints see oracle state.
-    ts.advance(end)
-    _copy_tlb(ts.scratch, tlb)
-    if ss is not None and not ss.stateless:
-        ss.advance(end)
-        ss.copy_into(l1.perceptron, l1.idb)
+
+
+class KernelEngine:
+    """Replays ranges of one context's trace through the compiled pass.
+
+    Drop-in for ``driver._replay_range`` (same ``(ctx, start, end)``
+    signature via :meth:`replay`). Built by :func:`make_engine`. Each
+    range runs from the live state and folds back into it, so ranges
+    chain in any order a caller produces — sequential chunks, or a
+    fresh engine over a context restored from a checkpoint.
+    """
+
+    def __init__(self, ctx, plan: _Plan):
+        self._ctx = ctx
+        self._plan = plan
+        # (position, row iterator) parked by the previous range, so a
+        # chunked replay consumes one zip in O(n).
+        self._cursor = None
+
+    def replay(self, ctx, start: int, end: int) -> None:
+        """Replay accesses ``[start, end)``, chaining like the oracle."""
+        if end <= start:
+            return
+        cursor = self._cursor
+        if cursor is not None and cursor[0] == start:
+            it = cursor[1]
+        else:
+            it = zip(*self._plan.columns)
+            if start:
+                next(islice(it, start - 1, start), None)
+        self._cursor = None
+        out = _start(self._ctx, self._plan, islice(it, end - start))
+        self._cursor = (end, it)
+        _fold(self._ctx, self._plan, start, end, out)
 
 
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
 
-def make_engine(ctx, oracle) -> Optional[KernelEngine]:
+def make_engine(ctx, oracle: Optional[Callable] = None
+                ) -> Optional[KernelEngine]:
     """Build a :class:`KernelEngine` for ``ctx``, or ``None``.
 
-    ``oracle`` is the pure-python range replayer
-    (``driver._replay_range``), kept as the permanent fallback.
-    Returns ``None`` — meaning "use the oracle for everything" — for
-    configurations the kernel does not model (subclassed cores,
-    non-LRU replacement, PC way prediction, page-bound IDB) and for
-    any trace whose streams fail to build (e.g. unmapped pages: the
+    ``None`` means "use the oracle for everything": configurations the
+    kernel does not model (subclassed cores, non-LRU replacement, PC
+    way prediction, page-bound IDB, non-finite predictor state) and
+    any trace whose columns fail to build (e.g. unmapped pages: the
     oracle then raises the same fault the python path would). Every
     ``None`` is counted under its reason in :data:`DECLINES`;
     ``REPRO_KERNEL_DEBUG=1`` re-raises swallowed build exceptions
-    instead of declining, for diagnosis.
+    instead of declining, for diagnosis. ``oracle`` (the python range
+    replayer) is accepted for callers that pass it, but a built engine
+    never falls back to it: it has no runtime fallback.
     """
     try:
-        return _build(ctx, oracle)
+        plan = _plan(ctx, stepwise=False)
     except Exception as exc:  # noqa: BLE001 — build failure means oracle
         if os.environ.get("REPRO_KERNEL_DEBUG"):
             raise
         _decline(f"build-error:{type(exc).__name__}")
         return None
-
-
-def _build(ctx, oracle) -> Optional[KernelEngine]:
-    streams = _build_streams(ctx)
-    if isinstance(streams, str):
-        _decline(streams)
+    if isinstance(plan, str):
+        _decline(plan)
         return None
-    return KernelEngine(ctx, oracle, streams)
-
-
-class _Streams:
-    """One context's precomputed artifacts, shared by both engines."""
-
-    __slots__ = ("kind", "ts", "ss", "columns", "walk_events",
-                 "walk_pos", "cum_pconf", "cum_inst", "extra", "mp")
+    return KernelEngine(ctx, plan)
 
 
 _CORE_KINDS = {OooCore: "ooo", InOrderCore: "ino",
                DetailedOooCore: "det"}
 
 
-def _build_streams(ctx):
-    """Gate a context and build its streams; a str is a decline reason.
+def _predictor_state_ok(l1) -> bool:
+    """Is the perceptron state finite ints with a bipolar history?
 
-    The shared front half of :func:`_build` (single-core) and
-    :func:`run_multicore_kernel`: the configuration gates with their
-    per-reason decline labels, then the memoized column/stream
-    construction.
+    The compiled pass mirrors ``predict_train`` for integer weights;
+    anything else (a NaN-poisoned row) is left to the oracle, which
+    raises its own non-finite-activation error.
+    """
+    perc = l1.perceptron
+    if perc is None:
+        return True
+    return (all(type(w) is int for row in perc._weights for w in row)
+            and all(type(x) is int and x in (1, -1)
+                    for x in perc._history))
+
+
+def _plan(ctx, stepwise: bool):
+    """Gate a context and compile its pass; a str is a decline reason.
+
+    Shared by :func:`make_engine` (single-core) and
+    :func:`run_multicore_kernel` (``stepwise``: the generator form).
     """
     l1 = ctx.l1
     cache = l1.cache
@@ -1138,8 +882,12 @@ def _build_streams(ctx):
     wp = l1.way_predictor
     if wp is not None and type(wp) is not WayPredictor:
         return "way-predictor-type"
-    if l1.idb is not None and l1.idb.page_bound:
+    perc = l1.perceptron
+    idb = l1.idb
+    if idb is not None and idb.page_bound:
         return "idb-page-bound"
+    if not _predictor_state_ok(l1):
+        return "predictor-state"
     n = ctx._len
     if n == 0:
         return "empty-trace"
@@ -1150,7 +898,6 @@ def _build_streams(ctx):
         return "negative-gap"   # the oracle raises the retire() ValueError
     cols = columns_for(trace)
     memo = cols.kernel_memo()
-    asid = page_table.asid
 
     pa_pair = memo.get("pa")
     if pa_pair is None:
@@ -1168,48 +915,13 @@ def _build_streams(ctx):
                                  (line_arr & cache.index_mask).tolist())
     line_list, sidx_list = addr
 
-    tlb_key = ("tlb", asid, tlb.l1_latency, tlb.l2_latency,
-               tlb._l1_4k.n_sets, tlb._l1_4k.n_ways,
-               tlb._l1_2m.n_sets, tlb._l1_2m.n_ways,
-               tlb._l2.n_sets, tlb._l2.n_ways)
-    ts = memo.get(tlb_key)
-    if ts is None:
-        params = dict(
-            l1_4k_entries=tlb._l1_4k.n_sets * tlb._l1_4k.n_ways,
-            l1_4k_ways=tlb._l1_4k.n_ways,
-            l1_2m_entries=tlb._l1_2m.n_sets * tlb._l1_2m.n_ways,
-            l1_2m_ways=tlb._l1_2m.n_ways,
-            l2_entries=tlb._l2.n_sets * tlb._l2.n_ways,
-            l2_ways=tlb._l2.n_ways,
-            l1_latency=tlb.l1_latency, l2_latency=tlb.l2_latency,
-            walk_latency=tlb.walk_latency)
-        ts = memo[tlb_key] = _TlbStream(ctx._va, page_table, params)
-
-    if l1._is_sipt:
-        perc = l1.perceptron
-        perc_params = ((perc.n_entries, perc.history_length,
-                        perc.weight_bits) if perc is not None else None)
-        idb = l1.idb
-        idb_params = ((idb.n_bits, idb.n_entries)
-                      if idb is not None else None)
-        spec_key = ("spec", l1.n_spec_bits, l1._is_naive, l1._is_bypass,
-                    perc_params, idb_params)
-        ss = memo.get(spec_key)
-        if ss is None:
-            ss = memo[spec_key] = _SpecStream(
-                ctx._pc, ctx._va, pa_list,
-                (l1.n_spec_bits, l1._is_naive, l1._is_bypass,
-                 perc_params, idb_params))
-    else:
-        spec_key = ("nospec", l1._default_fast)
-        ss = None
-
+    plan = _Plan()
     if kind == "det":
         # The detailed core issues instructions live inside the loop:
         # the gap column stays raw counts for retire(), and there is
         # no instruction fold.
         gapcol = ctx._gap
-        cum_inst = None
+        plan.cum_inst = None
     else:
         gapw_key = ("gapw", core.width)
         gapcol = memo.get(gapw_key)
@@ -1223,64 +935,80 @@ def _build_streams(ctx):
                     w = seen[g] = g / width
                 gapcol.append(w)
             memo[gapw_key] = gapcol
-
         cum_inst = memo.get("inst")
         if cum_inst is None:
-            cum_inst = memo["inst"] = _cum(gap_arr + 1)
+            cum_inst = memo["inst"] = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(gap_arr + 1, out=cum_inst[1:])
+        plan.cum_inst = cum_inst
+    # Speculation columns: did the speculated index bits survive
+    # translation, and which perceptron entry does the PC select.
+    unchanged = pentry = repeat(None)
+    if l1._is_sipt:
+        key = ("unchanged", l1._spec_mask)
+        unchanged = memo.get(key)
+        if unchanged is None:
+            unchanged = memo[key] = (
+                (cols.index_delta & l1._spec_mask) == 0).tolist()
+    if perc is not None:
+        key = ("pentry", perc.n_entries)
+        pentry = memo.get(key)
+        if pentry is None:
+            pc = trace.pc
+            pentry = memo[key] = (((pc >> 2) ^ (pc >> 9))
+                                  % perc.n_entries).tolist()
+    plan.columns = (ctx._gap, gapcol, ctx._pc, ctx._va, ctx._is_write,
+                    ctx._dep, pa_list, line_list, sidx_list, unchanged,
+                    pentry)
 
-    lat_key = ("lat", tlb_key, spec_key, l1.hit_latency,
-               ctx._conflict_window, ctx._conflict_cycles)
-    lat_bundle = memo.get(lat_key)
-    if lat_bundle is None:
-        cls = ts.cls
-        l1l, l2l = tlb.l1_latency, tlb.l2_latency
-        tlat = np.where(cls == 0, l1l,
-                        np.where(cls == 1, l1l + l2l,
-                                 -1)).astype(np.int64)
-        if ss is not None:
-            fast_arr = ss.fast
-            extra_arr = ss.extra
-        else:
-            fast_arr = np.full(n, 1 if l1._default_fast else 0,
-                               dtype=np.uint8)
-            extra_arr = np.zeros(n, dtype=np.uint8)
-        hit_lat = l1.hit_latency
-        base = np.where(fast_arr != 0, np.maximum(hit_lat, tlat),
-                        tlat + hit_lat)
-        prev_extra = np.empty(n, dtype=np.uint8)
-        prev_extra[0] = 0
-        prev_extra[1:] = extra_arr[:-1]
-        conflict = (prev_extra != 0) & (gap_arr < ctx._conflict_window)
-        lat_arr = np.where(
-            tlat < 0, -1,
-            base + conflict.astype(np.int64) * ctx._conflict_cycles)
-        va_list = ctx._va
-        walk_events = [(va_list[i],
-                        int(conflict[i]) * ctx._conflict_cycles)
-                       for i in ts.walk_pos]
-        lat_bundle = memo[lat_key] = (
-            lat_arr.tolist(), fast_arr.tolist(), walk_events,
-            _cum(conflict), extra_arr)
-    lat_list, fast_list, walk_events, cum_pconf, extra_arr = lat_bundle
+    if not l1._is_sipt:
+        spec = "none"
+    elif l1._is_naive:
+        spec = "naive"
+    elif l1._is_bypass:
+        spec = "bypass"
+    else:
+        spec = "rev" if idb is None else "idb"
+    plan.loop = _compile_loop((kind, spec, stepwise), wp is not None)
 
-    streams = _Streams()
-    streams.kind = kind
-    streams.ts = ts
-    streams.ss = ss
-    streams.columns = (gapcol, ctx._is_write, ctx._dep, pa_list,
-                       line_list, sidx_list, lat_list, fast_list)
-    streams.walk_events = walk_events
-    streams.walk_pos = ts.walk_pos
-    streams.cum_pconf = cum_pconf
-    streams.cum_inst = cum_inst
-    streams.extra = extra_arr
-    streams.mp = _compile_miss_path(ctx.miss_path)
-    if streams.mp is None:
+    args = dict.fromkeys(_LOOP_PARAMS)
+    args.update(
+        w2m=tlb._l1_2m._where, s2m=tlb._l1_2m._policy._stacks,
+        w4k=tlb._l1_4k._where, s4k=tlb._l1_4k._policy._stacks,
+        asid=page_table.asid, ps=PAGE_SHIFT, hps=HUGE_PAGE_SHIFT,
+        translate=tlb.translate, page_table=page_table,
+        tl1_lat=tlb.l1_latency,
+        hit_lat=l1.hit_latency, window=ctx._conflict_window,
+        ccyc=ctx._conflict_cycles, fast=l1._default_fast, extra=False,
+        wheres=cache._where, stacks=cache.policy._stacks,
+        dirty=cache._dirty, tags=cache._tags, n_ways=cache.n_ways,
+        line_shift=ctx._line_shift,
+        wp_penalty=wp.mispredict_penalty if wp is not None else 0,
+        mlp=core.mlp if type(core) is OooCore else 1.0,
+        rob_half=(core._rob_cover * 0.5 if type(core) is OooCore
+                  else 0.0),
+        inv_w=1.0 / core.width, width=core.width,
+        retire=ctx._retire, memory_access=ctx._memory_access)
+    if perc is not None:
+        hlen = len(perc._history)
+        args.update(weights=perc._weights, p_n=perc.n_entries,
+                    hlen1=hlen + 1, hmask=(1 << hlen) - 1,
+                    theta=perc.theta, cmax=perc.weight_max,
+                    cmin=perc.weight_min)
+    if idb is not None:
+        args.update(deltas=idb._deltas, last_page=idb._last_page,
+                    i_n=idb.n_entries, imask=(1 << idb.n_bits) - 1)
+    plan.mp = _compile_miss_path(ctx.miss_path)
+    if plan.mp is not None:
+        args.update(miss_access=plan.mp[0], miss_writeback=plan.mp[1])
+    else:
         # Not a decline — the engine still runs, servicing misses
         # through the live python hierarchy — but counted so a
         # silently-slower configuration can be diagnosed.
         _decline("miss-path-live")
-    return streams
+        args.update(miss_access=ctx._miss_access,
+                    miss_writeback=ctx._miss_writeback)
+    plan.args = tuple(args.values())
+    return plan
 
 
 # ----------------------------------------------------------------------
@@ -1288,194 +1016,72 @@ def _build_streams(ctx):
 # ----------------------------------------------------------------------
 
 class _McCore:
-    """One core's stream state inside the multicore engine.
+    """One core inside the multicore engine: the pass as a generator.
 
-    The multicore residue keeps every core's *model* live
-    (``retire``/``memory_access`` — the analytic cores are cheap and
-    the detailed one is real recurrence state) and streams everything
-    else: precomputed translation/speculation/latency columns, array
-    L1 probes, and the compiled miss path over the shared LLC/DRAM
-    containers. A core that finishes its first pass is folded (stats
-    deltas plus structural sync) and demoted to the oracle's
-    ``ctx.step()`` for its recycled passes, so unequal trace lengths
-    degrade gracefully instead of declining the whole run.
+    The stepwise pass yields after every access, so the round-robin
+    driver advances each core one access at a time while the pass's
+    locals carry its counters. A core that finishes its first pass is
+    folded and demoted to the oracle's ``ctx.step()`` for its recycled
+    passes, so unequal trace lengths need no special case.
     """
 
-    __slots__ = ("ctx", "streams", "pos", "n", "walk_i", "hits",
-                 "wp_pred", "wp_corr", "wp_sec", "live",
-                 "gap", "is_write", "dep", "pa", "line", "sidx",
-                 "lat", "fast", "wheres", "stacks", "dirty", "fill",
-                 "miss_access", "miss_writeback", "line_shift",
-                 "retire", "memory_access", "walker_walk", "walk_base",
-                 "asid", "hit_lat", "wp_on", "wp_penalty")
+    __slots__ = ("ctx", "plan", "gen", "pos", "live")
 
-    def __init__(self, ctx, streams):
+    def __init__(self, ctx, plan: _Plan):
         self.ctx = ctx
-        self.streams = streams
+        self.plan = plan
+        self.gen = _start(ctx, plan, zip(*plan.columns))
         self.pos = 0
-        self.n = ctx._len
-        self.walk_i = 0
-        self.hits = 0
-        self.wp_pred = 0
-        self.wp_corr = 0
-        self.wp_sec = 0
         self.live = False
-        (_, self.is_write, self.dep, self.pa, self.line,
-         self.sidx, self.lat, self.fast) = streams.columns
-        self.gap = ctx._gap
-        cache = ctx.l1.cache
-        self.wheres = cache._where
-        self.stacks = cache.policy._stacks
-        self.dirty = cache._dirty
-        self.fill = cache._fill
-        mp = streams.mp
-        if mp is not None:
-            self.miss_access, self.miss_writeback = mp[0], mp[1]
-        else:
-            self.miss_access = ctx._miss_access
-            self.miss_writeback = ctx._miss_writeback
-        self.line_shift = ctx._line_shift
-        self.retire = ctx._retire
-        self.memory_access = ctx._memory_access
-        tlb = ctx.l1.tlb
-        walker = tlb.walker
-        if walker is not None:
-            self.walker_walk = walker.walk
-        else:
-            fixed = tlb.walk_latency
-            self.walker_walk = lambda va, asid: fixed  # noqa: E731
-        self.walk_base = tlb.l1_latency + tlb.l2_latency
-        self.asid = ctx._page_table.asid
-        self.hit_lat = ctx.l1.hit_latency
-        wp = ctx.l1.way_predictor
-        self.wp_on = wp is not None
-        self.wp_penalty = wp.mispredict_penalty if wp is not None else 0
 
-    def verify_start(self) -> bool:
-        """Cold-start check, mirroring ``KernelEngine._verify`` at 0."""
+    def step(self) -> None:
+        """One access of the first pass (mirror of ``ctx.step()``)."""
+        next(self.gen)
+        self.pos += 1
         ctx = self.ctx
-        ts = self.streams.ts
-        ss = self.streams.ss
-        try:
-            if _snap_tlb(ctx.l1.tlb) != ts.snap_at(0):
-                return False
-            if ss is not None and _snap_spec(
-                    ctx.l1.perceptron, ctx.l1.idb) != ss.snap_at(0):
-                return False
-            if bool(ctx._port_busy):
-                return False
-        except Exception:  # noqa: BLE001 — any doubt means oracle
-            return False
-        return True
-
-    def step_stream(self) -> None:
-        """One access via the streams (mirror of ``_CoreContext.step``)."""
-        i = self.pos
-        gap = self.gap[i]
-        is_write = self.is_write[i]
-        self.retire(gap)
-        lat = self.lat[i]
-        fast = self.fast[i]
-        if lat < 0:
-            ev = self.streams.walk_events[self.walk_i]
-            self.walk_i += 1
-            t = self.walk_base + self.walker_walk(ev[0], self.asid)
-            hit_lat = self.hit_lat
-            lat = ((hit_lat if hit_lat > t else t) if fast
-                   else t + hit_lat) + ev[1]
-        line = self.line[i]
-        sidx = self.sidx[i]
-        st = self.stacks[sidx]
-        predicted = (st[0] if fast else -1) if self.wp_on else -1
-        way = self.wheres[sidx].get(line, -1)
-        if way >= 0:
-            self.hits += 1
-            if st[0] != way:
-                st.remove(way)
-                st.insert(0, way)
-            if is_write:
-                self.dirty[sidx][way] = 1
-            if predicted >= 0:
-                self.wp_pred += 1
-                if predicted == way:
-                    self.wp_corr += 1
-                else:
-                    self.wp_sec += 1
-                    lat += self.wp_penalty
-        else:
-            res = self.fill(sidx, line, is_write)
-            lat += self.miss_access(self.pa[i], is_write)
-            wb = res.writeback_line
-            if wb is not None:
-                self.miss_writeback(wb, self.line_shift)
-        self.memory_access(lat, is_write, self.dep[i])
-        self.pos = i + 1
-        if self.pos == self.n:
-            self._graduate()
-
-    def _graduate(self) -> None:
-        """First pass done: fold stats, sync state, go live (step())."""
-        s = self.streams
-        if s.mp is not None:
-            s.mp[2]()
-        _fold_range(self.ctx, s.ts, s.ss, s.cum_pconf, s.cum_inst,
-                    s.extra, 0, self.n, self.hits, self.wp_pred,
-                    self.wp_corr, self.wp_sec, fold_instructions=False)
-        ctx = self.ctx
-        ctx.position = 0
-        ctx.completed_once = True
-        self.live = True
-
-
-class _McEngine:
-    """Round-robin multicore driver over per-core stream state."""
-
-    def __init__(self, cores: List[_McCore]):
-        self._cores = cores
-
-    def run(self) -> None:
-        cores = self._cores
-        contexts = [core.ctx for core in cores]
-        # Mirror of simulate_multicore's oracle loop: full rounds with
-        # the completion check between them, so shared LLC/DRAM state
-        # evolves in exactly the oracle's interleaving.
-        while not all(ctx.completed_once for ctx in contexts):
-            for core in cores:
-                if core.live:
-                    core.ctx.step()
-                else:
-                    core.step_stream()
+        if self.pos == ctx._len:
+            try:
+                next(self.gen)
+            except StopIteration as done:
+                _fold(ctx, self.plan, 0, ctx._len, done.value)
+            ctx.position = 0
+            ctx.completed_once = True
+            self.live = True
 
 
 def run_multicore_kernel(contexts: Sequence) -> bool:
-    """Drive a whole multicore run through per-core streams.
+    """Drive a whole multicore run through per-core compiled passes.
 
     Returns True when the run completed — every context then holds its
     finished state, exactly as the oracle loop would have left it —
     and False to decline, in which case nothing was mutated and the
     caller falls back to the oracle loop from cold state. Cores share
     the LLC and DRAM through their compiled miss paths (the same live
-    containers), the TLB/speculation streams are per-core (private
-    state), and the round-robin interleaving is the oracle's, so
-    shared-state evolution is byte-identical. Declines are counted
-    under ``multicore:``-prefixed reasons in :data:`DECLINES`.
+    containers), TLBs and predictors are per-core, and the round-robin
+    interleaving is the oracle's, so shared-state evolution is
+    byte-identical. Declines are counted under ``multicore:``-prefixed
+    reasons in :data:`DECLINES`.
     """
-    cores = []
+    cores: List[_McCore] = []
     try:
         for ctx in contexts:
-            streams = _build_streams(ctx)
-            if isinstance(streams, str):
-                _decline("multicore:" + streams)
+            plan = _plan(ctx, stepwise=True)
+            if isinstance(plan, str):
+                _decline("multicore:" + plan)
                 return False
-            core = _McCore(ctx, streams)
-            if not core.verify_start():
-                _decline("multicore:start-state")
-                return False
-            cores.append(core)
+            cores.append(_McCore(ctx, plan))
     except Exception as exc:  # noqa: BLE001 — build failure means oracle
         if os.environ.get("REPRO_KERNEL_DEBUG"):
             raise
         _decline(f"multicore:build-error:{type(exc).__name__}")
         return False
-    _McEngine(cores).run()
+    # Mirror of simulate_multicore's oracle loop: full rounds with the
+    # completion check between them, so shared LLC/DRAM state evolves
+    # in exactly the oracle's interleaving.
+    while not all(ctx.completed_once for ctx in contexts):
+        for core in cores:
+            if core.live:
+                core.ctx.step()
+            else:
+                core.step()
     return True

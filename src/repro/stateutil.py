@@ -107,31 +107,6 @@ def unpack_ints(packed: str) -> List[int]:
     return values.tolist()
 
 
-def freeze_rows(rows: Sequence[Sequence[Any]]) -> tuple:
-    """An immutable value snapshot of a list-of-rows structure.
-
-    Returns a tuple of row tuples. Used by the kernel engine
-    (``repro.sim.kernel``) to checkpoint small row-major state — TLB
-    tag/entry planes, perceptron weight rows — at stream boundaries:
-    tuples share the row elements (cheap), compare by value, and
-    cannot be mutated by later replay.
-    """
-    return tuple(tuple(row) for row in rows)
-
-
-def load_rows(rows: Sequence[list],
-              frozen: Sequence[Sequence[Any]]) -> None:
-    """Restore :func:`freeze_rows` output into existing rows in place.
-
-    Row identities survive (``row[:] = saved``), so pre-bound
-    references elsewhere — the TLB's hot-path row bindings, the
-    perceptron's weight rows — stay valid, mirroring the
-    ``load_state_dict`` convention.
-    """
-    for row, saved in zip(rows, frozen):
-        row[:] = saved
-
-
 def rng_state(rng: Any) -> Dict[str, Any]:
     """A numpy ``Generator``'s bit-generator state (JSON-safe dict)."""
     return rng.bit_generator.state

@@ -82,25 +82,26 @@ def trace_fingerprint(trace: Trace) -> str:
 
 
 #: Default :class:`KernelMemo` capacity (entries, not bytes). One
-#: kernel stream set is a handful of entries (pa, addr, tlb, spec,
-#: gapw, inst, lat), so 64 holds several distinct configurations per
-#: trace while a long multi-geometry campaign evicts instead of
-#: pinning every stream it ever built. Mirrors ``DEFAULT_TRACE_CAP``
-#: in spirit; override with ``REPRO_KERNEL_MEMO``.
+#: kernel configuration uses a handful of column entries (pa, addr,
+#: gapw, inst, unchanged, pentry), so 64 holds several distinct
+#: geometries per trace while a long multi-geometry campaign evicts
+#: instead of pinning every column it ever built. Mirrors
+#: ``DEFAULT_TRACE_CAP`` in spirit; override with ``REPRO_KERNEL_MEMO``.
 DEFAULT_KERNEL_MEMO_CAP = 64
 
 
 class KernelMemo:
-    """LRU-bounded mapping for ``repro.sim.kernel`` stream memoization.
+    """LRU-bounded mapping for ``repro.sim.kernel`` per-trace columns.
 
-    The kernel engine keys precomputed streams here by configuration
-    signature; a sweep touching many geometries/variants used to grow
-    the plain-dict memo without bound for the lifetime of the trace.
-    Only the two operations the kernel uses are offered (``get`` and
-    item assignment), both refreshing recency; eviction drops the
-    oldest entry, which simply rebuilds on next use. Engines hold
-    direct references to the streams they were built with, so evicting
-    an entry mid-run never invalidates a live engine.
+    The kernel engine keys derived per-access columns here by the
+    configuration parameters they depend on (line shift and set mask,
+    core width, speculative-bit mask, perceptron table size). They are
+    pure functions of the trace; no simulation state is memoized. Only
+    the two operations the kernel uses are offered (``get`` and item
+    assignment), both refreshing recency; eviction drops the oldest
+    entry, which simply rebuilds on next use. Engines hold direct
+    references to the columns they were built with, so evicting an
+    entry mid-run never invalidates a live engine.
     """
 
     __slots__ = ("_data", "max_entries")
@@ -234,19 +235,22 @@ class TraceColumns:
         return self._lists
 
     def kernel_memo(self) -> KernelMemo:
-        """Per-trace scratch store for ``repro.sim.kernel`` streams.
+        """Per-trace store for ``repro.sim.kernel`` derived columns.
 
-        The kernel engine precomputes per-access streams (TLB
-        classification, speculation outcomes, address columns,
-        miss-path latency bundles) that depend only on this trace's
-        content plus a small configuration signature. Keying them here
-        gives them exactly the lifetime and sharing the ``lists()``
-        conversions already have: every cell, repeat, or resumed run
-        replaying the same trace object in this process builds each
-        stream once. The store is LRU-bounded (:class:`KernelMemo`,
-        ``REPRO_KERNEL_MEMO``) so a campaign sweeping many
-        configurations recycles slots instead of growing per trace
-        without bound.
+        The kernel engine derives per-access columns (physical
+        addresses, L1 line and set index, width-scaled gaps, the
+        instruction prefix sum, whether the speculated index bits
+        survive translation, the perceptron entry per PC) that depend
+        only on this trace's content plus a small configuration
+        signature. Keying them here gives them exactly the lifetime
+        and sharing the ``lists()`` conversions already have: every
+        cell, repeat, or resumed run replaying the same trace object in
+        this process builds each column once. TLB, predictor and
+        latency state is never stored here; the kernel runs it on the
+        live components. The store is LRU-bounded
+        (:class:`KernelMemo`, ``REPRO_KERNEL_MEMO``) so a campaign
+        sweeping many configurations recycles slots instead of growing
+        per trace without bound.
         """
         if self._kernel is None:
             self._kernel = KernelMemo()

@@ -13,7 +13,7 @@ LLC/DRAM miss path.
 
 Also covers the kernel's observability satellites: per-reason decline
 counters, the ``REPRO_KERNEL_DEBUG`` build-error re-raise, the
-LRU-bounded stream memo, the O(n) chunked-replay cursor in
+LRU-bounded column memo, the O(n) chunked-replay cursor in
 ``_replay_range``, and the ``ConfigError`` boundary for malformed
 integer environment overrides.
 """
@@ -50,6 +50,7 @@ from repro.sim.faults import (
     arm_fault,
     clear_armed,
     parse_fault,
+    poison_predictor,
 )
 from repro.sim.kernel import decline_counts, make_engine
 from repro.workloads.substrate import KernelMemo
@@ -109,28 +110,33 @@ def test_kernel_identical_across_memory_conditions(condition):
     assert fingerprint(kernel) == fingerprint(python)
 
 
-def test_kernel_engages_and_stays_synced():
-    """The fast path must actually run (no silent permanent fallback)."""
-    trace = CACHE.get("perlbench", N)
-    ctx = _CoreContext(ooo_system(SIPT_GEOMETRIES["32K_2w"]), trace)
-    engine = make_engine(ctx, _replay_range)
+def _never_called(ctx, start, end):
+    raise AssertionError("the kernel handed a range to the oracle")
+
+
+def _engine_matches_python(system, trace):
+    """Build, replay the whole trace, compare with the python engine."""
+    before = decline_counts()
+    ctx = _CoreContext(system, trace)
+    engine = make_engine(ctx, _never_called)
     assert engine is not None
     engine.replay(ctx, 0, ctx._len)
-    assert engine._fallback is False
-    assert engine._synced == ctx._len
+    ctx.completed_once = True
+    assert decline_counts() == before
+    assert fingerprint(ctx.result()) == fingerprint(simulate(trace, system))
+
+
+def test_kernel_engages_and_stays_synced():
+    """The fast path must actually run (no silent decline)."""
+    _engine_matches_python(ooo_system(SIPT_GEOMETRIES["32K_2w"]),
+                           CACHE.get("perlbench", N))
 
 
 def test_kernel_accepts_ooo_detailed_core():
-    """ooo-detailed rides the kernel: core model live, streams hot."""
+    """ooo-detailed rides the kernel: core model live, pass compiled."""
     system = replace(ooo_system(SIPT_GEOMETRIES["32K_2w"]),
                      core="ooo-detailed")
-    trace = CACHE.get("perlbench", N)
-    ctx = _CoreContext(system, trace)
-    engine = make_engine(ctx, _replay_range)
-    assert engine is not None
-    engine.replay(ctx, 0, ctx._len)
-    assert engine._fallback is False
-    assert engine._synced == ctx._len
+    _engine_matches_python(system, CACHE.get("perlbench", N))
 
 
 def test_kernel_declines_are_counted_by_reason():
@@ -167,7 +173,7 @@ def test_kernel_debug_reraises_build_errors(monkeypatch):
 
 
 def test_kernel_memo_is_lru_bounded(monkeypatch):
-    """The stream memo evicts LRU at capacity instead of growing."""
+    """The column memo evicts LRU at capacity instead of growing."""
     memo = KernelMemo(max_entries=2)
     memo["a"] = 1
     memo["b"] = 2
@@ -218,6 +224,53 @@ def test_kernel_crash_resume_identical(tmp_path):
     assert fingerprint(resumed) == fingerprint(plain)
 
 
+_RESTORE_SYSTEMS = {
+    "combined": ooo_system(SIPT_GEOMETRIES["32K_2w"]),
+    "naive": ooo_system(replace(SIPT_GEOMETRIES["32K_2w"],
+                                variant=SiptVariant.NAIVE)),
+    "bypass": ooo_system(replace(SIPT_GEOMETRIES["32K_2w"],
+                                 variant=SiptVariant.BYPASS)),
+    # One speculative bit: COMBINED takes the reversed prediction.
+    "reversed-1bit": ooo_system(SIPT_GEOMETRIES["32K_4w"]),
+}
+
+
+@pytest.mark.parametrize("condition", list(MemoryCondition),
+                         ids=[c.value for c in MemoryCondition])
+@pytest.mark.parametrize("variant", sorted(_RESTORE_SYSTEMS))
+def test_kernel_fresh_engine_continues_restored_state(variant, condition):
+    """A fresh engine over a restored context needs no verification.
+
+    The first k accesses run on one engine, and the state it folds
+    back must equal the oracle's at k. That state goes through JSON
+    (as a checkpoint would) into a new context whose engine was built
+    cold, exactly as the driver builds it before a resume, and the
+    rest of the trace must leave the machine (TLB LRU stacks,
+    predictor weights and history) and the result equal to an
+    uninterrupted oracle run. libquantum's normal condition fills the
+    2 MiB TLB; under fragmented memory k falls inside its one
+    speculation-outcome transition, so the history at k is mixed.
+    """
+    system = _RESTORE_SYSTEMS[variant]
+    trace = CACHE.get("libquantum", N, condition=condition)
+    k = 1050
+    oracle = _CoreContext(system, trace)
+    _replay_range(oracle, 0, k)
+    first = _CoreContext(system, trace)
+    make_engine(first, _never_called).replay(first, 0, k)
+    state = first.state_dict()
+    assert state == oracle.state_dict()
+    resumed = _CoreContext(system, trace)
+    fresh = make_engine(resumed, _never_called)
+    assert fresh is not None
+    resumed.load_state_dict(json.loads(json.dumps(state)))
+    fresh.replay(resumed, k, resumed._len)
+    _replay_range(oracle, k, oracle._len)
+    assert resumed.state_dict() == oracle.state_dict()
+    resumed.completed_once = oracle.completed_once = True
+    assert fingerprint(resumed.result()) == fingerprint(oracle.result())
+
+
 def test_kernel_poisoned_predictor_fails_like_python():
     """A NaN-poisoned perceptron must not survive the fast path."""
     trace = CACHE.get("perlbench", N)
@@ -228,6 +281,25 @@ def test_kernel_poisoned_predictor_fails_like_python():
     arm_data_specs([parse_fault("poison_predictor@0")])
     with pytest.raises(SimulationError):
         simulate(trace, system, engine="kernel")
+    # Partial poison (three NaN rows): the build declines on predictor
+    # state and the oracle raises its own error at the same entry.
+    arm_data_specs([parse_fault("poison_predictor@0x3")])
+    with pytest.raises(SimulationError) as python:
+        simulate(trace, system)
+    before = decline_counts().get("predictor-state", 0)
+    arm_data_specs([parse_fault("poison_predictor@0x3")])
+    with pytest.raises(SimulationError) as kernel:
+        simulate(trace, system, engine="kernel")
+    assert str(kernel.value) == str(python.value)
+    assert decline_counts()["predictor-state"] == before + 1
+    # Poison arriving after the build (a restored checkpoint can carry
+    # NaN rows) meets the compiled pass's mirror of the oracle's guard.
+    ctx = _CoreContext(system, trace)
+    engine = make_engine(ctx, _never_called)
+    poison_predictor(ctx.l1.perceptron, n_entries=3)
+    with pytest.raises(SimulationError) as late:
+        engine.replay(ctx, 0, ctx._len)
+    assert str(late.value) == str(python.value)
 
 
 def test_unknown_engine_is_a_config_error():
@@ -379,10 +451,11 @@ _MC_FUZZ_SYSTEMS = {
 
 @pytest.mark.parametrize("kind", sorted(_MC_FUZZ_SYSTEMS))
 def test_multicore_kernel_accepted_and_identical(kind):
-    """Per-core results byte-identical; the streams path engages.
+    """Per-core results byte-identical; the compiled pass engages.
 
     Unequal trace lengths force one core to graduate and recycle live
-    while the other still streams, covering the fold/demote path.
+    while the other is still on its compiled pass, covering the
+    fold/demote path.
     """
     system = _MC_FUZZ_SYSTEMS[kind]
     traces = [CACHE.get("mcf", 1500, seed=1),
@@ -410,7 +483,8 @@ def test_fuzz_multicore_kernel_matches_python(kind, n_cores, seed, n):
 
     The small per-level capacities drive write-back cascades and DRAM
     row-buffer traffic through the shared containers; staggered
-    lengths mix streaming and recycled-live cores in one round-robin.
+    lengths mix compiled-pass and recycled-live cores in one
+    round-robin.
     """
     system = _MC_FUZZ_SYSTEMS[kind]
     apps = ["mcf", "calculix", "povray", "libquantum"]
