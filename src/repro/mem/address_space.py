@@ -230,7 +230,7 @@ class Process:
         entry = self.page_table.lookup(page_number(va))
         if entry is not None:
             return (entry.pfn << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))
-        return self._handle_fault(va)
+        return self._handle_fault(va, self._region_of(va))
 
     def translate(self, va: int) -> int:
         """Translate without faulting; raises on unmapped pages."""
@@ -242,8 +242,7 @@ class Process:
                 return region
         raise MemoryError(f"segfault: VA {va:#x} is outside every region")
 
-    def _handle_fault(self, va: int) -> int:
-        region = self._region_of(va)
+    def _handle_fault(self, va: int, region: VmRegion) -> int:
         self.stats.minor_faults += 1
         if self._try_huge_fault(va, region):
             self.stats.huge_page_faults += 1
@@ -293,11 +292,15 @@ class Process:
     # convenience
     # ------------------------------------------------------------------
     def populate(self, region: VmRegion) -> None:
-        """Touch every page of ``region`` in address order (eager paging)."""
-        va = region.start
-        while va < region.end:
-            self.touch(va)
-            va += PAGE_SIZE
+        """Touch every page of ``region`` in address order (eager paging).
+
+        ``region`` must be one of this process's regions; faults go
+        straight to it instead of searching the region list per page.
+        """
+        lookup = self.page_table.lookup
+        for va in range(region.start, region.end, PAGE_SIZE):
+            if lookup(va >> PAGE_SHIFT) is None:
+                self._handle_fault(va, region)
 
     def mapped_bytes(self) -> int:
         """Bytes of this process's VA space with present mappings."""

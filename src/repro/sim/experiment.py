@@ -62,8 +62,12 @@ class TraceCache:
     def get(self, app: str, n_accesses: Optional[int] = None,
             condition: MemoryCondition = MemoryCondition.NORMAL,
             seed: int = 0) -> Trace:
-        """Return the memoized trace for this cell, generating once."""
-        n = n_accesses or default_accesses()
+        """Return the memoized trace for this cell, generating once.
+
+        ``n_accesses=None`` means :func:`default_accesses`; any other
+        value, 0 included, goes to :func:`generate_trace` as given.
+        """
+        n = default_accesses() if n_accesses is None else n_accesses
         key = (app, n, condition, seed)
         trace = self._traces.get(key)
         if trace is None:

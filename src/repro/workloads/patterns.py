@@ -1,8 +1,11 @@
 """Access-pattern generators used to synthesize SPEC-like traces.
 
-Each generator yields byte offsets into an application's data footprint.
-The trace builder maps offsets onto the process's allocated regions and
-attaches PCs, write flags, and dependence distances.
+Each pattern yields byte offsets into an application's data footprint,
+in int64 numpy blocks of :data:`BLOCK` offsets (:func:`pattern_blocks`).
+The trace builder draws each component's offsets a block at a time, maps
+them onto the process's allocated regions and attaches PCs, write flags,
+and dependence distances. The scalar iterators (:func:`make_pattern` and
+the pattern functions themselves) flatten the same blocks to Python ints.
 
 Patterns provided (the building blocks of the per-app profiles):
 
@@ -17,27 +20,55 @@ Patterns provided (the building blocks of the per-app profiles):
 
 from __future__ import annotations
 
-from typing import Iterator
+import functools
+from typing import Callable, Iterator
 
 import numpy as np
 
+#: Offsets per block. ``random`` and ``zipf`` draw their RNG in blocks of
+#: this size, so the block length is part of their output contract.
+BLOCK = 1024
 
+
+def _flatten(blocks: Iterator[np.ndarray]) -> Iterator[int]:
+    for block in blocks:
+        yield from block.tolist()
+
+
+def _pattern(blocks: Callable[..., Iterator[np.ndarray]]
+             ) -> Callable[..., Iterator[int]]:
+    """Expose a block generator as a scalar iterator of Python ints.
+
+    The block generator stays reachable as ``.blocks``; it is the only
+    implementation of the pattern, and the scalar view is its flattening.
+    """
+    @functools.wraps(blocks)
+    def scalar(*args, **kwargs) -> Iterator[int]:
+        return _flatten(blocks(*args, **kwargs))
+    scalar.blocks = blocks
+    return scalar
+
+
+@_pattern
 def sequential(footprint: int, stride: int = 8,
                rng: np.random.Generator = None,
-               start: int = 0, working_set: int = None) -> Iterator[int]:
+               start: int = 0, working_set: int = None
+               ) -> Iterator[np.ndarray]:
     """Linear walk over the footprint (or working set), wrapping."""
     span = min(working_set or footprint, footprint)
     if span <= 0 or stride <= 0:
         raise ValueError("footprint and stride must be positive")
     offset = start % span
+    steps = np.arange(BLOCK, dtype=np.int64) * stride
     while True:
-        yield offset
-        offset = (offset + stride) % span
+        yield (offset + steps) % span
+        offset = (offset + BLOCK * stride) % span
 
 
+@_pattern
 def strided(footprint: int, stride: int = 256,
             rng: np.random.Generator = None,
-            working_set: int = None) -> Iterator[int]:
+            working_set: int = None) -> Iterator[np.ndarray]:
     """Fixed-stride walk; strides past the end wrap with a phase shift.
 
     The phase shift on wrap makes successive sweeps touch different lines,
@@ -46,32 +77,41 @@ def strided(footprint: int, stride: int = 256,
     span = min(working_set or footprint, footprint)
     if span <= 0 or stride <= 0:
         raise ValueError("footprint and stride must be positive")
+    wrap = max(1, min(stride, span))
     offset = 0
     phase = 0
     while True:
-        yield offset
-        offset += stride
-        if offset >= span:
-            phase = (phase + 8) % max(1, min(stride, span))
-            offset = phase
+        runs = []
+        filled = 0
+        while filled < BLOCK:
+            # The rest of the current sweep, cut at the block boundary.
+            n = min(BLOCK - filled, -(-(span - offset) // stride))
+            runs.append(offset + stride * np.arange(n, dtype=np.int64))
+            filled += n
+            offset += stride * n
+            if offset >= span:
+                phase = (phase + 8) % wrap
+                offset = phase
+        yield np.concatenate(runs)
 
 
+@_pattern
 def random_uniform(footprint: int, working_set: int = None,
-                   rng: np.random.Generator = None) -> Iterator[int]:
+                   rng: np.random.Generator = None) -> Iterator[np.ndarray]:
     """Uniform random offsets within a (possibly smaller) working set."""
     rng = rng or np.random.default_rng(0)
     span = min(working_set or footprint, footprint)
     if span <= 0:
         raise ValueError("working set must be positive")
     while True:
-        # Batch the RNG calls; one at a time is painfully slow.
-        for value in rng.integers(0, span, size=1024):
-            yield int(value) & ~0x7
+        yield rng.integers(0, span, size=BLOCK) & ~0x7
 
 
+@_pattern
 def zipf(footprint: int, alpha: float = 1.2, hot_fraction: float = 0.1,
          rng: np.random.Generator = None, working_set: int = None,
-         lines_per_page: int = 16, n_clusters: int = 4) -> Iterator[int]:
+         lines_per_page: int = 16, n_clusters: int = 4
+         ) -> Iterator[np.ndarray]:
     """Zipf-skewed popularity over cache-line-sized hot units.
 
     ``working_set`` sets the total bytes of hot lines. Hot lines are
@@ -104,12 +144,12 @@ def zipf(footprint: int, alpha: float = 1.2, hot_fraction: float = 0.1,
     ranks = np.arange(1, n_lines + 1, dtype=np.float64)
     weights = ranks ** -alpha
     weights /= weights.sum()
-    order = rng.permutation(n_lines)  # spread hot ranks across pages
+    # Spread hot ranks across pages: rank r lives at a random hot line.
+    line_addr = line_addr[rng.permutation(n_lines)]
     while True:
-        picks = rng.choice(n_lines, size=1024, p=weights)
-        in_line = rng.integers(0, 64, size=1024)
-        for pick, offset in zip(picks, in_line):
-            yield int(line_addr[order[pick]]) + (int(offset) & ~0x7)
+        picks = rng.choice(n_lines, size=BLOCK, p=weights)
+        in_line = rng.integers(0, 64, size=BLOCK)
+        yield line_addr[picks] + (in_line & ~0x7)
 
 
 def _clustered_pages(total_pages: int, n_pages: int, n_clusters: int,
@@ -140,9 +180,10 @@ def _clustered_pages(total_pages: int, n_pages: int, n_clusters: int,
     return np.asarray(chosen[:n_pages], dtype=np.int64)
 
 
+@_pattern
 def pointer_chase(footprint: int, working_set: int = None,
                   element_size: int = 64,
-                  rng: np.random.Generator = None) -> Iterator[int]:
+                  rng: np.random.Generator = None) -> Iterator[np.ndarray]:
     """Walk a random cyclic permutation of cache-line-sized elements.
 
     Every access depends on the previous one — the classic linked-list
@@ -152,11 +193,13 @@ def pointer_chase(footprint: int, working_set: int = None,
     span = min(working_set or footprint, footprint)
     n_elems = max(2, span // element_size)
     # A random cycle: visit order is a permutation walked repeatedly.
-    order = rng.permutation(n_elems)
+    cycle = rng.permutation(n_elems)
+    cycle *= element_size
+    steps = np.arange(BLOCK, dtype=np.int64)
     position = 0
     while True:
-        yield int(order[position]) * element_size
-        position = (position + 1) % n_elems
+        yield cycle[(position + steps) % n_elems]
+        position = (position + BLOCK) % n_elems
 
 
 PATTERNS = {
@@ -168,13 +211,19 @@ PATTERNS = {
 }
 
 
-def make_pattern(kind: str, footprint: int, rng: np.random.Generator,
-                 **params) -> Iterator[int]:
-    """Instantiate a pattern generator by name."""
+def pattern_blocks(kind: str, footprint: int, rng: np.random.Generator,
+                   **params) -> Iterator[np.ndarray]:
+    """Instantiate a pattern by name as a stream of int64 offset blocks."""
     try:
-        factory = PATTERNS[kind]
+        pattern = PATTERNS[kind]
     except KeyError:
         raise ValueError(
             f"unknown pattern {kind!r}; choose from {sorted(PATTERNS)}"
         ) from None
-    return factory(footprint, rng=rng, **params)
+    return pattern.blocks(footprint, rng=rng, **params)
+
+
+def make_pattern(kind: str, footprint: int, rng: np.random.Generator,
+                 **params) -> Iterator[int]:
+    """Instantiate a pattern by name as a scalar offset iterator."""
+    return _flatten(pattern_blocks(kind, footprint, rng, **params))

@@ -75,9 +75,9 @@ class AppProfile:
     noise_pages: int = 0
     #: Probability a noise event fires before each chunk.
     noise_prob: float = 0.0
-    #: Probability an access re-touches the previous access's cache
-    #: line (the same static load iterating, struct-field runs, stack
-    #: reuse). This temporal locality is what makes MRU way prediction
+    #: Probability an access re-touches the cache line of its pattern
+    #: component's last fresh access (the same static load iterating,
+    #: struct-field runs, stack reuse). This temporal locality is what makes MRU way prediction
     #: accurate on real programs (Section VII-A).
     repeat_frac: float = 0.75
     pcs_per_pattern: int = 12            # static loads per component

@@ -11,14 +11,24 @@ The decisive part is :func:`build_memory_image`: allocations are made
 through the buddy allocator with per-profile noise interleaving, so the
 VA->PA delta structure the SIPT predictors exploit *emerges* from the OS
 model rather than being scripted.
+
+Access synthesis in :func:`generate_trace` is vectorized per pattern
+component: one numpy pass per component draws exactly its fresh offsets
+from the pattern's block stream, maps them onto the regions, and fills
+the component's repeat accesses from its last fresh line; PCs,
+dependence distances and the huge-page count are array operations.
+Trace bytes are a contract: which random numbers are drawn, and in what
+order, must not change. ``tests/test_workloads_spec_trace.py`` pins
+them with golden digests and with a one-access-at-a-time reference.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +36,7 @@ from ..errors import TraceError
 from ..mem.address import PAGE_SIZE
 from ..mem.address_space import PhysicalMemory, Process, VmRegion
 from ..mem.fragmentation import fragment_memory
-from .patterns import make_pattern
+from .patterns import BLOCK, pattern_blocks
 from .spec import AppProfile, get_profile
 
 #: Canonical virtual addresses fit in 48 bits on the modelled machine.
@@ -205,16 +215,28 @@ def build_memory_image(profile: AppProfile, memory: PhysicalMemory,
     return process, regions
 
 
-def _region_offset_to_va(regions: List[VmRegion], footprint: int,
-                         offset: int) -> int:
-    """Map a flat footprint offset onto the (possibly split) regions."""
-    for region in regions:
-        if offset < region.length:
-            return region.start + offset
-        offset -= region.length
-    # Wrap (patterns yield offsets modulo the footprint already, but a
-    # final partial chunk can make the region sum slightly larger).
-    return regions[-1].start + (offset % regions[-1].length)
+def _draw(blocks: Iterator[np.ndarray], count: int) -> np.ndarray:
+    """The next ``count`` offsets of a pattern's block stream."""
+    n_blocks = -(-count // BLOCK)
+    return np.concatenate(list(itertools.islice(blocks, n_blocks)))[:count]
+
+
+def _offsets_to_va(regions: List[VmRegion], offsets: np.ndarray) -> np.ndarray:
+    """Map flat footprint offsets onto the (possibly split) regions.
+
+    Offsets past the last region wrap inside it (patterns yield offsets
+    modulo the footprint already, but a final partial chunk can make the
+    region sum differ slightly from it).
+    """
+    starts = np.array([r.start for r in regions], dtype=np.int64)
+    lengths = np.array([r.length for r in regions], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    which = np.searchsorted(ends, offsets, side="right")
+    inside = np.minimum(which, len(regions) - 1)
+    va = starts[inside] + offsets - (ends[inside] - lengths[inside])
+    past = which == len(regions)
+    va[past] = starts[-1] + (offsets[past] - ends[-1]) % lengths[-1]
+    return va
 
 
 def generate_trace(app: str, n_accesses: int,
@@ -238,11 +260,8 @@ def generate_trace(app: str, n_accesses: int,
         memory = _condition_memory(condition, phys_bytes, rng)
     process, regions = build_memory_image(profile, memory, rng)
 
-    generators = []
-    pc_bases = []
-    weights = []
-    dep_means = []
-    for i, spec in enumerate(profile.patterns):
+    streams = []
+    for spec in profile.patterns:
         params = {}
         if spec.working_set:
             params["working_set"] = spec.working_set
@@ -251,16 +270,15 @@ def generate_trace(app: str, n_accesses: int,
         if spec.alpha:
             params["alpha"] = spec.alpha
         kind_rng = np.random.default_rng(rng.integers(2 ** 31))
-        generators.append(make_pattern(spec.kind, profile.footprint,
-                                       kind_rng, **params))
-        pc_bases.append(0x400000 + i * 0x100000)
-        weights.append(spec.weight)
-        dep_means.append(spec.dep_dist_mean)
-    weights = np.asarray(weights)
+        streams.append(pattern_blocks(spec.kind, profile.footprint,
+                                      kind_rng, **params))
+    weights = np.asarray([spec.weight for spec in profile.patterns])
     weights = weights / weights.sum()
+    dep_means = np.asarray([spec.dep_dist_mean for spec in profile.patterns],
+                           dtype=np.float64)
 
     # Pre-draw all randomness in bulk for speed.
-    component = rng.choice(len(generators), size=n_accesses, p=weights)
+    component = rng.choice(len(streams), size=n_accesses, p=weights)
     writes = rng.random(n_accesses) < profile.write_frac
     gap_mean = max(0.0, 1.0 / profile.mem_per_inst - 1.0)
     inst_gap = rng.poisson(gap_mean, size=n_accesses).astype(np.int32)
@@ -268,35 +286,39 @@ def generate_trace(app: str, n_accesses: int,
     repeats = rng.random(n_accesses) < profile.repeat_frac
     line_offsets = rng.integers(0, 8, size=n_accesses) * 8
 
-    pc = np.empty(n_accesses, dtype=np.int64)
     va = np.empty(n_accesses, dtype=np.int64)
-    dep_dist = np.empty(n_accesses, dtype=np.int32)
+    for comp, stream in enumerate(streams):
+        where = np.flatnonzero(component == comp)
+        if not len(where):
+            continue
+        # A fresh access takes the component's next pattern offset; a
+        # repeat is temporal line reuse: the same static load re-touches
+        # the line of its component's last fresh access (loop iteration,
+        # adjacent struct fields). A component's first access is fresh.
+        fresh = ~repeats[where]
+        fresh[0] = True
+        fresh_va = _offsets_to_va(regions,
+                                  _draw(stream, int(fresh.sum())))
+        address = fresh_va[np.cumsum(fresh) - 1]
+        va[where] = np.where(fresh, address,
+                             (address & ~63) | line_offsets[where])
+
+    # Static loads have region affinity: every 32 KiB block of each
+    # component gets its own PC, as if a distinct static load walks each
+    # data structure. Each PC therefore sees a stable VA->PA delta when
+    # the underlying mapping is stable — the property that makes
+    # PC-indexed predictors (Sections V-VI) work. Having more PCs than
+    # predictor entries is normal; the tables alias exactly as they
+    # would on real code.
+    pc = (0x400000 + component * 0x100000
+          + 4 * ((va - Process.HEAP_BASE) >> 15))
+    dep_dist = (dep_draw * dep_means[component]).astype(np.int32)
     huge_hits = 0
-    last_line = [-1] * len(generators)
-    for i in range(n_accesses):
-        comp = component[i]
-        if repeats[i] and last_line[comp] >= 0:
-            # Temporal line reuse: the same static load re-touches its
-            # current line (loop iteration, adjacent struct fields).
-            address = last_line[comp] | int(line_offsets[i])
-        else:
-            offset = next(generators[comp])
-            address = _region_offset_to_va(regions, profile.footprint,
-                                           offset)
-        last_line[comp] = address & ~63
-        va[i] = address
-        # Static loads have region affinity: every 32 KiB block of each
-        # component gets its own PC, as if a distinct static load walks
-        # each data structure. Each PC therefore sees a stable VA->PA
-        # delta when the underlying mapping is stable — the property
-        # that makes PC-indexed predictors (Sections V-VI) work. Having
-        # more PCs than predictor entries is normal; the tables alias
-        # exactly as they would on real code.
-        pc[i] = pc_bases[comp] + 4 * ((address - Process.HEAP_BASE) >> 15)
-        dep_dist[i] = int(dep_draw[i] * dep_means[comp])
-        entry = process.page_table.lookup(address >> 12)
+    vpns, counts = np.unique(va >> 12, return_counts=True)
+    for vpn, count in zip(vpns.tolist(), counts.tolist()):
+        entry = process.page_table.lookup(vpn)
         if entry is not None and entry.huge:
-            huge_hits += 1
+            huge_hits += count
 
     return Trace(
         app=app,

@@ -27,6 +27,19 @@ def test_trace_cache_memoizes():
     assert d is not a
 
 
+def test_trace_cache_rejects_zero_accesses_like_generate_trace(monkeypatch):
+    from repro.errors import TraceError
+    from repro.workloads import generate_trace
+    monkeypatch.setenv("REPRO_ACCESSES", "700")
+    cache = TraceCache()
+    with pytest.raises(TraceError):
+        generate_trace("povray", 0)
+    with pytest.raises(TraceError):
+        cache.get("povray", 0)
+    assert len(cache) == 0
+    assert len(cache.get("povray")) == 700  # only None means the default
+
+
 def test_trace_cache_clear():
     cache = TraceCache()
     a = cache.get("povray", 1000)

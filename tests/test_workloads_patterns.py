@@ -7,6 +7,8 @@ import pytest
 
 from repro.workloads import make_pattern
 from repro.workloads.patterns import (
+    BLOCK,
+    pattern_blocks,
     pointer_chase,
     random_uniform,
     sequential,
@@ -96,3 +98,65 @@ def test_all_patterns_yield_in_bounds():
     for kind in ("sequential", "strided", "random", "zipf", "chase"):
         gen = make_pattern(kind, footprint, rng)
         assert all(0 <= o < footprint for o in take(gen, 500)), kind
+
+
+# ---------------------------------------------------------------------------
+# block streams: the scalar iterator is their flattening
+# ---------------------------------------------------------------------------
+#: (kind, footprint, params) per pattern, sized so every stream wraps or
+#: cycles across a block boundary within 3000 offsets: strided sweeps of
+#: 31 and 1311 offsets, chase cycles of 700 and 1500 elements.
+BLOCK_CASES = [
+    ("sequential", 1 << 14, {"stride": 24}),
+    ("strided", 10_000, {"stride": 333}),
+    ("strided", 1 << 20, {"stride": 200, "working_set": 1 << 18}),
+    ("random", 1 << 20, {"working_set": 1 << 16}),
+    ("zipf", 1 << 22, {"alpha": 1.2}),
+    ("chase", 700 * 64, {}),
+    ("chase", 1 << 20, {"working_set": 1500 * 64}),
+]
+
+
+def blocks_prefix(kind, footprint, params, n, seed=11):
+    stream = pattern_blocks(kind, footprint, np.random.default_rng(seed),
+                            **params)
+    blocks = [next(stream) for _ in range(-(-n // BLOCK))]
+    for block in blocks:
+        assert block.dtype == np.int64 and len(block) == BLOCK
+    return np.concatenate(blocks)[:n]
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3000])
+@pytest.mark.parametrize("kind,footprint,params", BLOCK_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in BLOCK_CASES])
+def test_scalar_iterator_is_the_flattened_blocks(kind, footprint, params, n):
+    gen = make_pattern(kind, footprint, np.random.default_rng(11), **params)
+    items = take(gen, n)
+    assert all(type(item) is int for item in items)
+    assert items == blocks_prefix(kind, footprint, params, n).tolist()
+
+
+def test_strided_blocks_follow_the_phase_wrap():
+    """Each sweep restarts 8 bytes further in, across block boundaries."""
+    span, stride = 1 << 18, 200
+    expected, offset, phase = [], 0, 0
+    while len(expected) < 3000:
+        expected.append(offset)
+        offset += stride
+        if offset >= span:
+            phase = (phase + 8) % stride
+            offset = phase
+    got = blocks_prefix("strided", 1 << 20,
+                        {"stride": stride, "working_set": span}, 3000)
+    assert got.tolist() == expected
+    assert got[1311] == 8 and got[2622] == 16  # wraps inside blocks 2, 3
+
+
+def test_chase_blocks_repeat_the_cycle_across_blocks():
+    n_elems = 700
+    got = blocks_prefix("chase", n_elems * 64, {}, 3000)
+    cycle = got[:n_elems]
+    assert sorted(cycle.tolist()) == list(range(0, n_elems * 64, 64))
+    for start in range(n_elems, 3000, n_elems):
+        tail = got[start:start + n_elems]
+        assert tail.tolist() == cycle[:len(tail)].tolist()
