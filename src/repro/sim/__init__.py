@@ -35,7 +35,6 @@ from .experiment import (
 from .executors import (
     CellOutcome,
     CellTask,
-    Executor,
     ExecutorStats,
     SerialExecutor,
     SupervisedPoolExecutor,
@@ -59,7 +58,6 @@ from .warmstate import WarmStateCache, warm_cache_for
 __all__ = [
     "CellOutcome",
     "CellTask",
-    "Executor",
     "ExecutorStats",
     "FaultInjector",
     "FaultSpec",

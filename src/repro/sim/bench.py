@@ -257,15 +257,14 @@ def _clear_sweep_state() -> None:
     """Reset every cross-sweep memo so a timed rep starts cold.
 
     Pool workers fork from the benchmarking process, so anything left
-    in the parent's process-wide caches (shared traces, the ephemeral
-    and directory-backed warm caches) would be inherited — or, for a
-    serial rep, reused directly — and silently hide the redundant work
-    the benchmark exists to measure.
+    in the parent's process-wide caches (shared traces, the warm-cache
+    registry) would be inherited — or, for a serial rep, reused
+    directly — and silently hide the redundant work the benchmark
+    exists to measure.
     """
     from . import warmstate as _warmstate
     from .experiment import SHARED_TRACES
     SHARED_TRACES.clear()
-    _warmstate.ephemeral_warm_cache().clear()
     _warmstate._SHARED.clear()
 
 

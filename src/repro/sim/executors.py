@@ -1,35 +1,35 @@
-"""Pluggable cell executors: serial, supervised pool, and the seam for
-multi-node backends.
+"""Cell executors: the one retry/timeout lifecycle, run serially or in
+a supervised pool.
 
-:class:`~repro.sim.resilience.ResilientRunner` used to drive a one-shot
-``concurrent.futures.ProcessPoolExecutor`` directly: a single worker
-death raised ``BrokenProcessPool`` out of *every* pending future, so the
-whole remaining grid degraded to error rows with no distinction between
-the cell that killed the worker and innocent in-flight bystanders. This
-module extracts the execution strategy behind an interface and makes
-the pool strategy supervised:
+:class:`~repro.sim.resilience.ResilientRunner` builds one
+:class:`CellTask` list for every grid and hands it to an executor; the
+executor yields one :class:`CellOutcome` per task, and the runner's
+single outcome loop journals the rows. Both executors run each cell
+through :func:`_execute_cell`, the only retry/timeout loop:
 
-* :class:`Executor` — the interface: ``run(tasks)`` yields one
-  :class:`CellOutcome` per :class:`CellTask`, in completion order.
-  This is the seam a future multi-node backend plugs into; the runner
-  only ever sees outcomes.
-* :class:`SerialExecutor` — runs each cell in-process through the same
-  retry/timeout lifecycle pool workers use. It is also the graceful
-  degradation target when the supervised pool exhausts its restart
-  budget.
+* :class:`SerialExecutor` — runs each cell in-process (``jobs == 1``).
+  It binds the fault injector's per-attempt hook to each task, so
+  attempt-level faults (crash/transient/stall) fire inside the timed
+  region. It is also the graceful degradation target when the
+  supervised pool exhausts its restart budget.
 * :class:`SupervisedPoolExecutor` — a process pool that **survives
-  worker death**. Each dispatched cell writes a *marker file* at entry
-  and removes it on completion; when the pool breaks, unfinished cells
-  whose marker is present were mid-execution (suspects — at most one
-  per worker), and cells with no marker never started (innocents). The
-  supervisor rebuilds the pool, re-runs each suspect **solo** so a
-  second death attributes unambiguously to one cell, requeues the
-  innocents without consuming their retry budget, and quarantines any
-  cell that kills its worker ``max_cell_crashes`` times with a
-  ``status="crashed"`` outcome instead of retrying it forever. Pool
-  rebuilds are bounded by ``max_worker_restarts`` (default
-  ``jobs * 3``); past the budget the remaining cells degrade to serial
-  in-process execution rather than aborting the grid.
+  worker death** (``jobs > 1``). Each dispatched cell writes a *marker
+  file* at entry and removes it on completion; when the pool breaks,
+  unfinished cells whose marker is present were mid-execution
+  (suspects — at most one per worker), and cells with no marker never
+  started (innocents). The supervisor rebuilds the pool, re-runs each
+  suspect **solo** so a second death attributes unambiguously to one
+  cell, requeues the innocents without consuming their retry budget,
+  and quarantines any cell that kills its worker ``max_cell_crashes``
+  times with a ``status="crashed"`` outcome instead of retrying it
+  forever. Pool rebuilds are bounded by ``max_worker_restarts``
+  (default ``jobs * 3``); past the budget the remaining cells degrade
+  to serial in-process execution rather than aborting the grid.
+
+Data-level faults travel with the task (``CellTask.data_specs``) and
+are armed before every attempt and cleared after it, whichever
+executor runs the cell, so a cell that never reaches ``simulate``
+cannot leak its faults into the next cell.
 
 Worker death costs one cell, not the sweep — and because rescheduling
 re-runs deterministic simulations, the surviving rows stay
@@ -54,11 +54,11 @@ import signal
 import tempfile
 import threading
 import time
-from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, \
     as_completed
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, \
     Sequence, Tuple
@@ -102,8 +102,9 @@ def call_with_timeout(fn: Callable[[], Dict[str, Any]],
 
     The cell runs in a daemon worker thread; on expiry the thread is
     abandoned (it cannot be killed) and the caller degrades the cell.
-    Used by the serial runner in the parent process and by pool workers
-    in parallel mode, so both enforce the same per-cell deadline.
+    Every cell attempt runs through here (:func:`_execute_cell`), in
+    the parent under ``jobs == 1`` and in pool workers otherwise, so
+    both enforce the same per-cell deadline.
 
     With a ``heartbeat`` path (written by the checkpointed replay loop
     after every chunk), the deadline is a *watchdog*: it measures time
@@ -153,52 +154,70 @@ def call_with_timeout(fn: Callable[[], Dict[str, Any]],
     return box["row"]
 
 
+def error_text(error: Any) -> str:
+    """A failure as the ``error`` column shows it: ``"Type: message"``.
+
+    ``error`` is the exception a serial outcome carries, or the string
+    a pool worker already rendered before crossing the process
+    boundary (returned unchanged).
+    """
+    if isinstance(error, str):
+        return error
+    return f"{type(error).__name__}: {error}"
+
+
 def _execute_cell(fn: Callable[[], Dict[str, Any]],
                   key: Dict[str, Any],
                   timeout_s: Optional[float],
                   retry: RetryPolicy,
                   data_specs: Tuple = (),
-                  heartbeat: Optional[Path] = None) -> Tuple[str, Any, int]:
-    """One cell's full retry/timeout lifecycle, inside a pool worker.
+                  heartbeat: Optional[Path] = None,
+                  on_attempt: Optional[Callable[[int], None]] = None,
+                  sleep: Callable[[float], None] = time.sleep
+                  ) -> Tuple[str, Any, int]:
+    """One cell's full retry/timeout lifecycle — the only retry loop.
 
-    Returns a picklable ``(status, payload, retries)`` triple: payload
-    is the raw row dict on success, or the formatted error string on
-    failure. The parent turns it into the same row a serial
-    :meth:`ResilientRunner.run_cell` would have produced.
+    Returns ``(status, payload, retries)``: payload is the raw row dict
+    on success, or the final exception on failure (the caller renders
+    it with :func:`error_text`).
 
-    ``data_specs`` are data-level fault specs targeting this cell; they
-    are armed (re-armed on every retry attempt) in this worker process
-    and consumed inside ``simulate``. The armed channel is cleared
-    afterwards either way, so a cell that never consumed its faults
-    cannot leak them into the next cell this worker runs.
+    ``on_attempt(attempt)`` runs before the cell body *inside* the
+    timed region, so an injected stall hits the deadline like a real
+    hung backend. ``data_specs`` are data-level fault specs targeting
+    this cell; they are armed before every attempt and consumed inside
+    ``simulate``. The armed channel is cleared after every attempt, so
+    a cell that never consumed its faults cannot leak them into the
+    next cell this process runs. ``sleep`` is the backoff between
+    transient retries.
     """
     attempt = 0
-    retries = 0
     while True:
+        if on_attempt is None:
+            attempt_fn = fn
+        else:
+            def attempt_fn(attempt=attempt):
+                on_attempt(attempt)
+                return fn()
+        arm_data_specs(data_specs)
         try:
-            if data_specs:
-                arm_data_specs(data_specs)
-            try:
-                row = call_with_timeout(fn, key, timeout_s,
-                                        heartbeat=heartbeat)
-            finally:
-                if data_specs:
-                    clear_armed()
+            row = call_with_timeout(attempt_fn, key, timeout_s,
+                                    heartbeat=heartbeat)
             if not isinstance(row, dict):
                 raise TypeError(
                     f"cell returned {type(row).__name__}, expected dict")
-            return STATUS_OK, row, retries
+            return STATUS_OK, row, attempt
         except TransientError as exc:
             if attempt < retry.max_retries:
                 attempt += 1
-                retries += 1
-                time.sleep(retry.delay(attempt))
+                sleep(retry.delay(attempt))
                 continue
-            return STATUS_ERROR, f"{type(exc).__name__}: {exc}", retries
+            return STATUS_ERROR, exc, attempt
         except CellTimeout as exc:
-            return STATUS_TIMEOUT, f"{type(exc).__name__}: {exc}", retries
+            return STATUS_TIMEOUT, exc, attempt
         except Exception as exc:  # noqa: BLE001 — degrade unknowns too
-            return STATUS_ERROR, f"{type(exc).__name__}: {exc}", retries
+            return STATUS_ERROR, exc, attempt
+        finally:
+            clear_armed()
 
 
 def _worker_cell(fn: Callable[[], Dict[str, Any]],
@@ -216,20 +235,24 @@ def _worker_cell(fn: Callable[[], Dict[str, Any]],
     leaves it behind and the parent knows which cell was on the dying
     worker. ``kill=True`` is the chaos harness (``kill_worker`` fault):
     the worker SIGKILLs itself *after* writing the marker, modelling a
-    cell whose execution takes its worker down mid-flight.
+    cell whose execution takes its worker down mid-flight. A failure is
+    rendered to its ``error`` text here, so no exception object has to
+    survive pickling back to the parent.
     """
     if marker is not None:
         Path(marker).write_text(str(os.getpid()))
     if kill:
         os.kill(os.getpid(), signal.SIGKILL)
-    outcome = _execute_cell(fn, key, timeout_s, retry, data_specs,
-                            heartbeat)
+    status, payload, retries = _execute_cell(fn, key, timeout_s, retry,
+                                             data_specs, heartbeat)
     if marker is not None:
         try:
             Path(marker).unlink()
         except OSError:  # pragma: no cover - best-effort cleanup
             pass
-    return outcome
+    if status != STATUS_OK:
+        payload = error_text(payload)
+    return status, payload, retries
 
 
 @dataclass(frozen=True)
@@ -237,7 +260,7 @@ class CellTask:
     """One schedulable grid cell, as the executor layer sees it.
 
     ``index`` is the submission index (row order — the runner maps
-    outcomes back to rows with it); ``ordinal`` is the serial-equivalent
+    outcomes back to rows with it); ``ordinal`` is the grid-order
     execution ordinal fault specs key on; ``data_specs`` are the
     data-level fault specs to arm in whichever process runs the cell;
     ``heartbeat`` is the watchdog file for progress-aware timeouts.
@@ -254,8 +277,10 @@ class CellTask:
 @dataclass(frozen=True)
 class CellOutcome:
     """What happened to one task: ``status`` is one of the STATUS_*
-    constants, ``payload`` the row dict (ok) or error string, and
-    ``retries`` the transient-retry count consumed inside the cell.
+    constants, ``payload`` the row dict (ok) or the failure — an
+    exception from the serial executor, its :func:`error_text` from a
+    pool worker — and ``retries`` the transient-retry count consumed
+    inside the cell.
     """
 
     index: int
@@ -276,65 +301,57 @@ class ExecutorStats:
     fell_back_serial: bool = False
 
 
-class Executor(ABC):
-    """Strategy interface for executing a batch of independent cells.
+class SerialExecutor:
+    """Run every cell in-process, through the shared lifecycle.
 
-    ``run`` yields one :class:`CellOutcome` per task in **completion
-    order** (the caller reorders by ``index``). Implementations own
-    their failure semantics: the contract is only that every task
-    produces exactly one outcome and that deterministic cells produce
-    identical payloads whichever executor ran them — that is what keeps
-    sweep CSVs byte-identical across serial, pool, and (eventually)
-    multi-node backends.
-    """
-
-    def __init__(self):
-        self.stats = ExecutorStats()
-
-    @abstractmethod
-    def run(self, tasks: Sequence[CellTask]) -> Iterator[CellOutcome]:
-        """Execute ``tasks``; yield one outcome each, completion order."""
-
-    def close(self) -> None:
-        """Release executor resources (idempotent; default no-op)."""
-
-
-class SerialExecutor(Executor):
-    """Run every cell in-process, through the pool-worker lifecycle.
-
-    Used directly for interface parity with the pool path, and as the
-    degradation target when :class:`SupervisedPoolExecutor` exhausts
-    its worker-restart budget — the remainder of a chaotic grid is
-    slower serially, but it completes. ``kill_plan`` entries are
-    deliberately ignored here: the modelled worker process does not
-    exist, and honoring a SIGKILL in-process would take down the
-    parent (journal and all) instead of one cell.
+    The ``jobs == 1`` executor. ``on_attempt`` is the fault injector's
+    ``on_attempt(ordinal, key, attempt)`` hook, bound here to each
+    task's ordinal and key; ``sleep`` is the transient-retry backoff.
+    It is also the degradation target when
+    :class:`SupervisedPoolExecutor` exhausts its worker-restart budget
+    — the remainder of a chaotic grid is slower serially, but it
+    completes. ``kill_plan`` entries are deliberately ignored here: the
+    modelled worker process does not exist, and honoring a SIGKILL
+    in-process would take down the parent (journal and all) instead of
+    one cell.
     """
 
     def __init__(self, timeout_s: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None):
-        super().__init__()
+                 retry: Optional[RetryPolicy] = None,
+                 on_attempt: Optional[Callable[[int, Dict[str, Any], int],
+                                               None]] = None,
+                 sleep: Callable[[float], None] = time.sleep):
+        self.stats = ExecutorStats()
         self.timeout_s = timeout_s
         self.retry = retry or RetryPolicy()
+        self.on_attempt = on_attempt
+        self.sleep = sleep
 
     def run(self, tasks: Sequence[CellTask]) -> Iterator[CellOutcome]:
+        """Execute ``tasks`` in the given order; one outcome each."""
         for task in tasks:
             self.stats.dispatches += 1
+            hook = None
+            if self.on_attempt is not None:
+                hook = partial(self.on_attempt, task.ordinal, task.key)
             status, payload, retries = _execute_cell(
                 task.fn, task.key, self.timeout_s, self.retry,
-                task.data_specs, task.heartbeat)
+                task.data_specs, task.heartbeat, hook, self.sleep)
             yield CellOutcome(task.index, task.key, status, payload,
                               retries)
 
+    def close(self) -> None:
+        """Nothing to release (kept for parity with the pool)."""
 
-class SupervisedPoolExecutor(Executor):
+
+class SupervisedPoolExecutor:
     """A worker-loss-tolerant process pool.
 
     Parameters
     ----------
     jobs:
-        Worker-process count (must be >= 2; ``jobs == 1`` grids take
-        the runner's serial path, which has no worker to lose).
+        Worker-process count (must be >= 2; ``jobs == 1`` grids run
+        on :class:`SerialExecutor`, which has no worker to lose).
     timeout_s / retry:
         Per-cell deadline and transient-retry policy, enforced inside
         each worker exactly like the serial path.
@@ -370,11 +387,11 @@ class SupervisedPoolExecutor(Executor):
                  max_worker_restarts: Optional[int] = None,
                  max_cell_crashes: int = 2,
                  kill_plan: Optional[Dict[int, int]] = None):
-        super().__init__()
+        self.stats = ExecutorStats()
         if jobs < 2:
             raise ConfigError(
                 f"SupervisedPoolExecutor needs jobs >= 2, got {jobs}; "
-                "use SerialExecutor (or the runner's jobs=1 path)")
+                "use SerialExecutor")
         if max_cell_crashes < 1:
             raise ConfigError("max_cell_crashes must be >= 1, got "
                               f"{max_cell_crashes}")
@@ -452,6 +469,7 @@ class SupervisedPoolExecutor(Executor):
     # -- the supervision loop ----------------------------------------
 
     def run(self, tasks: Sequence[CellTask]) -> Iterator[CellOutcome]:
+        """Execute ``tasks``; yield one outcome each, completion order."""
         marker_dir = Path(tempfile.mkdtemp(prefix="repro-exec-"))
         dispatches: Dict[int, int] = {}
         crashes: Dict[int, int] = {}
@@ -504,9 +522,7 @@ class SupervisedPoolExecutor(Executor):
                         continue
                     except Exception as exc:  # noqa: BLE001 — e.g. an
                         # unpicklable row; degrade just this cell.
-                        status = STATUS_ERROR
-                        payload = f"{type(exc).__name__}: {exc}"
-                        retries = 0
+                        status, payload, retries = STATUS_ERROR, exc, 0
                     finished.add(task.index)
                     self._clear_marker(marker_dir, task)
                     yield CellOutcome(task.index, task.key, status,

@@ -3,9 +3,10 @@
 Two kinds of faults, both fully seeded/deterministic so tests (and
 users probing robustness) get reproducible failure campaigns:
 
-**Attempt-level faults** fire inside :class:`ResilientRunner` before a
-cell executes, keyed on the cell's execution ordinal (0-based order of
-*non-resumed* cells within one run):
+**Attempt-level faults** fire through :meth:`FaultInjector.on_attempt`,
+which the serial executor runs before every attempt of a cell, keyed
+on the cell's execution ordinal (0-based grid order of *non-resumed*
+cells within one run):
 
 * ``crash``      — raises :class:`WorkerCrash` (a ``BaseException``, so
   the runner cannot degrade it): the whole grid aborts as if the worker
@@ -41,15 +42,17 @@ cell, and are only legal under ``--jobs N`` (N >= 2):
   first K dispatches (with K below the crash limit, the cell
   ultimately succeeds and the fault purely exercises rescheduling).
 
-Data-level faults can also be *injected by spec* — the injector arms
-them in a process-local channel (:func:`arm_fault`) that
-:func:`repro.sim.driver.simulate` consumes at entry, so the corruption
-happens inside the simulation exactly once, whichever process runs the
-cell. Because they piggyback on state the worker already has (no
-cross-process coordination), data-level specs are safe under
-``--jobs N``; attempt-level faults (``crash``/``transient``/``stall``)
-stay serial-only — they fire in the parent's submission loop, whose
-ordinal-to-attempt mapping only exists there.
+Data-level faults can also be *injected by spec* — each targeted
+cell's task carries its specs (:meth:`FaultInjector.data_specs_for`),
+and the cell lifecycle arms them in a process-local channel
+(:func:`arm_fault`) before every attempt and clears it after, in
+whichever process runs the cell. :func:`repro.sim.driver.simulate`
+consumes them at entry, so the corruption happens inside the
+simulation exactly once per attempt. Because they travel with the task
+(no cross-process coordination), data-level specs work at any
+``--jobs``; attempt-level faults (``crash``/``transient``/``stall``)
+stay serial-only — their hook runs in the parent, and an in-process
+``crash`` must abort the whole grid.
 
 Fault specs parse from compact strings (CLI ``--inject``)::
 
@@ -105,10 +108,10 @@ class FaultSpec:
     KINDS = ("crash", "transient", "stall",
              "corrupt_trace", "poison_predictor", "kill_worker")
 
-    #: Kinds that must fire in the parent's serial submission loop.
+    #: Kinds fired by the serial executor's per-attempt hook.
     ATTEMPT_KINDS = ("crash", "transient", "stall")
 
-    #: Kinds armed into the worker and applied inside ``simulate``.
+    #: Kinds armed around each attempt and applied inside ``simulate``.
     DATA_KINDS = ("corrupt_trace", "poison_predictor")
 
     #: Kinds applied by the supervised pool at dispatch (jobs >= 2).
@@ -192,18 +195,20 @@ def clear_armed() -> None:
 
 
 def arm_data_specs(specs: Iterable[FaultSpec]) -> None:
-    """Arm data-level specs (worker-side, once per attempt)."""
+    """Arm data-level specs (before every attempt of their cell)."""
     for spec in specs:
         arm_fault(spec.kind, spec)
 
 
 class FaultInjector:
-    """Attempt-level fault source for :class:`ResilientRunner`.
+    """Fault source for :class:`ResilientRunner`.
 
-    Pass ``FaultSpec`` objects or their string forms. The injector is
-    stateless apart from nothing at all — which fault fires is a pure
-    function of (ordinal, attempt), so replaying a run replays its
-    faults.
+    Pass ``FaultSpec`` objects or their string forms. Which fault fires
+    is a pure function of (ordinal, attempt), so replaying a run
+    replays its faults. ``fired`` logs the attempt-level faults fired
+    in this process; data-level specs are handed out per cell by
+    :meth:`data_specs_for` and dispatch-level ones by
+    :meth:`kill_plan`.
     """
 
     def __init__(self, faults: Iterable[Any] = (), sleep=time.sleep):
@@ -215,7 +220,7 @@ class FaultInjector:
 
     @property
     def requires_serial(self) -> bool:
-        """True when any spec must fire in the parent's serial loop.
+        """True when any spec must fire in the serial executor's hook.
 
         Data-level specs are armed inside whichever process runs the
         cell, so a campaign of only those is ``--jobs N``-safe.
@@ -243,20 +248,18 @@ class FaultInjector:
                 if f.kind in FaultSpec.DISPATCH_KINDS}
 
     def data_specs_for(self, ordinal: int) -> Tuple[FaultSpec, ...]:
-        """Data-level specs targeting cell ``ordinal`` (for workers)."""
+        """Data-level specs targeting cell ``ordinal`` (armed around
+        each of its attempts, in whichever process runs it)."""
         return tuple(f for f in self.faults
                      if f.kind in FaultSpec.DATA_KINDS
                      and f.at_cell == ordinal)
 
     def on_attempt(self, ordinal: int, key: Dict[str, Any],
                    attempt: int) -> None:
-        """Fire any fault armed for cell ``ordinal`` on this attempt."""
+        """Fire any attempt-level fault for cell ``ordinal`` on this
+        attempt (data- and dispatch-level specs are not fired here)."""
         for fault in self.faults:
             if fault.at_cell != ordinal:
-                continue
-            if fault.kind in FaultSpec.DATA_KINDS:
-                self.fired.append((fault.kind, ordinal, attempt))
-                arm_fault(fault.kind, fault)
                 continue
             if fault.kind == "crash":
                 self.fired.append(("crash", ordinal, attempt))

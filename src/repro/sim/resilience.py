@@ -15,16 +15,19 @@ row. :class:`ResilientRunner` executes grids cell-by-cell instead:
   pointed at that journal (``resume_from``) replays the recorded rows
   instead of recomputing them — an interrupted sweep continues from
   exactly the cells it was missing;
-* with ``jobs > 1``, :meth:`ResilientRunner.run_cells` fans independent
-  cells out to a :class:`~repro.sim.executors.SupervisedPoolExecutor`
-  (see :mod:`repro.sim.executors`): worker death costs one cell, not
-  the sweep — the supervisor rebuilds the pool, reschedules innocent
-  in-flight bystanders without consuming their retry budget, and
-  quarantines a cell that keeps killing its workers with a
-  ``status="crashed"`` row. Retries and the per-cell timeout run
-  *inside* each worker; journaling, resume and stats stay in the
-  parent, and rows come back in submission order, so the resulting CSV
-  is byte-identical to a serial run.
+* every grid takes one path: :meth:`ResilientRunner.run_cells` builds
+  a :class:`~repro.sim.executors.CellTask` per pending cell and hands
+  the list to an executor — a
+  :class:`~repro.sim.executors.SerialExecutor` under ``jobs == 1``, a
+  :class:`~repro.sim.executors.SupervisedPoolExecutor` otherwise (see
+  :mod:`repro.sim.executors`). Both run each cell through the same
+  retry/timeout lifecycle; in the pool, worker death costs one cell,
+  not the sweep — the supervisor rebuilds the pool, reschedules
+  innocent in-flight bystanders without consuming their retry budget,
+  and quarantines a cell that keeps killing its workers with a
+  ``status="crashed"`` row. Journaling, resume and stats stay in this
+  process, in one outcome loop, and rows come back in submission
+  order, so the resulting CSV is byte-identical across ``jobs``.
 
 Journal format (one JSON object per line)::
 
@@ -48,7 +51,7 @@ from typing import (Any, Callable, Collection, Dict, List, Optional,
                     Sequence, Tuple, Union)
 
 from .. import ioutil
-from ..errors import CellTimeout, ConfigError, ReproError, TransientError
+from ..errors import ConfigError
 from .checkpoint import (
     checkpoint_path_for,
     heartbeat_path,
@@ -56,14 +59,14 @@ from .checkpoint import (
 )
 from .executors import (
     STATUS_CRASHED,
-    STATUS_ERROR,
     STATUS_OK,
     STATUS_TIMEOUT,
+    CellOutcome,
     CellTask,
-    Executor,
     RetryPolicy,
+    SerialExecutor,
     SupervisedPoolExecutor,
-    call_with_timeout,
+    error_text,
 )
 
 #: Keys the runner adds to every row it returns.
@@ -194,14 +197,14 @@ class ResilientRunner:
     retry:
         :class:`RetryPolicy` for :class:`TransientError`.
     faults:
-        Optional fault injector (see :mod:`repro.sim.faults`); its
-        ``on_attempt(ordinal, key, attempt)`` hook runs before every
-        execution attempt. Attempt-level faults (crash/transient/stall)
-        fire in this parent process and therefore require serial
-        execution (``jobs=1``); campaigns of only *data-level* faults
-        (``corrupt_trace``/``poison_predictor``) are shipped to workers
-        by ordinal and are ``jobs > 1``-safe (the injector's ``fired``
-        log stays empty in that mode — firing happens in the workers).
+        Optional fault injector (see :mod:`repro.sim.faults`).
+        Attempt-level faults (crash/transient/stall) fire through its
+        ``on_attempt(ordinal, key, attempt)`` hook, which the serial
+        executor runs before every execution attempt, and therefore
+        require ``jobs=1``. *Data-level* faults
+        (``corrupt_trace``/``poison_predictor``) travel with each task
+        by ordinal and are armed around every attempt in whichever
+        process runs the cell, so they work at any ``jobs``.
     checkpoint_dir:
         Directory holding per-cell mid-simulation checkpoints (written
         by cells that pass ``checkpoint_every`` through to
@@ -215,10 +218,11 @@ class ResilientRunner:
         Serial-mode only: pool workers always use ``time.sleep``.
     jobs:
         Default worker-process count for :meth:`run_cells`. ``1`` (the
-        default) runs cells serially in-process; ``N > 1`` fans them
-        out to a supervised process pool. Cell callables must then be
-        picklable (module-level functions or ``functools.partial`` of
-        them).
+        default) runs cells on a
+        :class:`~repro.sim.executors.SerialExecutor` in-process;
+        ``N > 1`` fans them out to a supervised process pool. Cell
+        callables must then be picklable (module-level functions or
+        ``functools.partial`` of them).
     max_worker_restarts:
         Pool rebuilds allowed after worker deaths before the remainder
         of the grid degrades to serial in-process execution
@@ -227,10 +231,6 @@ class ResilientRunner:
     max_cell_crashes:
         Times one cell may be executing when its worker dies before it
         is quarantined with a ``status="crashed"`` row (default 2).
-    executor:
-        A pre-built :class:`~repro.sim.executors.Executor` to run
-        parallel batches on, overriding the default supervised pool —
-        the seam alternative backends (e.g. multi-node) plug into.
     """
 
     def __init__(self, journal: Optional[Union[str, Path]] = None,
@@ -242,14 +242,12 @@ class ResilientRunner:
                  jobs: int = 1,
                  checkpoint_dir: Optional[Union[str, Path]] = None,
                  max_worker_restarts: Optional[int] = None,
-                 max_cell_crashes: int = 2,
-                 executor: Optional[Executor] = None):
+                 max_cell_crashes: int = 2):
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self._check_fault_mode(faults, jobs)
         self.max_worker_restarts = max_worker_restarts
         self.max_cell_crashes = max_cell_crashes
-        self.executor = executor
         self.journal_path = Path(journal) if journal else None
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir \
             else None
@@ -387,72 +385,22 @@ class ResilientRunner:
         return heartbeat_path(checkpoint_path_for(self.checkpoint_dir,
                                                   key))
 
-    def _call_with_timeout(self, fn: Callable[[], Dict[str, Any]],
-                           key: Dict[str, Any]) -> Dict[str, Any]:
-        return call_with_timeout(fn, key, self.timeout_s,
-                                 name=f"cell-{self._ordinal}",
-                                 heartbeat=self._heartbeat_for(key))
-
     def run_cell(self, key: Dict[str, Any],
                  fn: Callable[[], Dict[str, Any]],
                  degrade: bool = True) -> Dict[str, Any]:
-        """Execute one cell; returns its row.
+        """Execute one cell serially; returns its row.
 
-        On success the row gains ``status="ok"``/``error=""``. With
-        ``degrade=True`` (the default) a failure returns
-        ``{**key, "status": ..., "error": ...}`` instead of raising; with
-        ``degrade=False`` the final exception propagates (single-cell
-        commands want the typed error, not a row). A cell recorded as
-        ``ok`` in the resume journal returns its journaled row verbatim
-        without re-executing; error/timeout records re-execute.
+        A one-cell :meth:`run_cells` batch. On success the row gains
+        ``status="ok"``/``error=""``. With ``degrade=True`` (the
+        default) a failure returns ``{**key, "status": ...,
+        "error": ...}`` instead of raising; with ``degrade=False`` the
+        journal is closed and the original typed exception propagates
+        (single-cell commands want the typed error, not a row). A cell
+        recorded as ``ok`` in the resume journal returns its journaled
+        row verbatim without re-executing; error/timeout records
+        re-execute.
         """
-        self.stats.total += 1
-        cid = cell_id(key)
-        record = self._completed.get(cid)
-        if record is not None and record.get("status") == STATUS_OK:
-            # Only successful rows are trusted on resume; error/timeout
-            # cells re-execute (resuming IS the retry for those).
-            self.stats.resumed += 1
-            self.stats.ok += 1
-            if self.journal_path and self.journal_path != self._resume_path:
-                self._record(key, STATUS_OK, record.get("row", {}))
-            return dict(record.get("row", {}))
-
-        ordinal = self._ordinal
-        self._ordinal += 1
-        attempt = 0
-        while True:
-            try:
-                if self.faults is not None:
-                    # Injected inside the timed region so stall faults
-                    # exercise the deadline like a real hung backend.
-                    def attempt_fn(attempt=attempt):
-                        self.faults.on_attempt(ordinal, key, attempt)
-                        return fn()
-                else:
-                    attempt_fn = fn
-                row = self._call_with_timeout(attempt_fn, key)
-                if not isinstance(row, dict):
-                    raise TypeError(
-                        f"cell {cid} returned {type(row).__name__}, "
-                        "expected dict")
-                row = {**row, "status": STATUS_OK, "error": ""}
-                self.stats.ok += 1
-                self._record(key, STATUS_OK, row)
-                return row
-            except TransientError as exc:
-                if attempt < self.retry.max_retries:
-                    attempt += 1
-                    self.stats.retries += 1
-                    self._sleep(self.retry.delay(attempt))
-                    continue
-                return self._degrade(key, STATUS_ERROR, exc, degrade)
-            except CellTimeout as exc:
-                return self._degrade(key, STATUS_TIMEOUT, exc, degrade)
-            except ReproError as exc:
-                return self._degrade(key, STATUS_ERROR, exc, degrade)
-            except Exception as exc:  # noqa: BLE001 — degrade unknowns too
-                return self._degrade(key, STATUS_ERROR, exc, degrade)
+        return self._run([(key, fn)], 1, degrade=degrade)[0]
 
     def run_cells(self, cells: Sequence[Tuple[Dict[str, Any],
                                               Callable[[], Dict[str, Any]]]],
@@ -460,39 +408,43 @@ class ResilientRunner:
                   first: Collection[int] = ()) -> List[Dict[str, Any]]:
         """Execute a batch of ``(key, fn)`` cells; rows in input order.
 
-        With ``jobs == 1`` this is exactly ``[run_cell(k, f) for ...]``.
-        With ``jobs > 1`` the non-resumed cells run on an
-        :class:`~repro.sim.executors.Executor` — by default a
-        :class:`~repro.sim.executors.SupervisedPoolExecutor`, which
-        survives worker death (see :mod:`repro.sim.executors`) — while
-        resume checks, journaling, and stats stay in this process. Each
-        worker handles its own retries and per-cell timeout. Journal
+        Resume checks, journaling, and stats stay in this process; the
+        non-resumed cells run on a
+        :class:`~repro.sim.executors.SerialExecutor` (``jobs == 1``) or
+        a :class:`~repro.sim.executors.SupervisedPoolExecutor`, which
+        survives worker death (see :mod:`repro.sim.executors`). Both
+        run each cell through the same retry/timeout lifecycle. Journal
         records are appended in completion order — resume semantics
         only depend on the set of records, not their order — and the
         returned list preserves the input order, so downstream CSVs are
-        byte-identical to a serial run. Cell callables must be
-        picklable in parallel mode.
+        byte-identical across ``jobs``. Cell callables must be
+        picklable when ``jobs > 1``.
 
-        ``first`` holds indices (into ``cells``) the pool dispatches
-        ahead of the rest — e.g. cells whose results their siblings
-        reuse. It changes only the dispatch order: fault ordinals and
-        rows still follow the input order.
+        ``first`` holds indices (into ``cells``) dispatched ahead of
+        the rest — e.g. cells whose results their siblings reuse. It
+        changes only the dispatch order: fault ordinals and rows still
+        follow the input order.
         """
         jobs = self.jobs if jobs is None else jobs
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self._check_fault_mode(self.faults, jobs)
-        if jobs == 1:
-            return [self.run_cell(key, fn) for key, fn in cells]
+        return self._run(cells, jobs, first)
+
+    def _run(self, cells: Sequence[Tuple[Dict[str, Any],
+                                         Callable[[], Dict[str, Any]]]],
+             jobs: int, first: Collection[int] = (),
+             degrade: bool = True) -> List[Dict[str, Any]]:
         rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-        # The task ordinal counts non-resumed cells in input order,
-        # exactly like run_cell's, so fault specs target the same cell
-        # whichever mode executes the grid.
+        # The task ordinal counts non-resumed cells in input order, so
+        # fault specs target the same cell whichever executor runs it.
         pending: List[CellTask] = []
         for index, (key, fn) in enumerate(cells):
             self.stats.total += 1
             record = self._completed.get(cell_id(key))
             if record is not None and record.get("status") == STATUS_OK:
+                # Only successful rows are trusted on resume; error/
+                # timeout cells re-execute (resuming IS their retry).
                 self.stats.resumed += 1
                 self.stats.ok += 1
                 if (self.journal_path
@@ -510,42 +462,59 @@ class ResilientRunner:
             ahead = set(first)
             pending.sort(key=lambda task: task.index not in ahead)
         if pending:
-            executor = self.executor
-            if executor is None:
-                executor = SupervisedPoolExecutor(
-                    jobs, timeout_s=self.timeout_s, retry=self.retry,
-                    max_worker_restarts=self.max_worker_restarts,
-                    max_cell_crashes=self.max_cell_crashes,
-                    kill_plan=(self.faults.kill_plan()
-                               if self.faults is not None else None))
+            executor = self._executor(jobs)
             try:
                 for outcome in executor.run(pending):
-                    key = outcome.key
                     self.stats.retries += outcome.retries
-                    if outcome.status == STATUS_OK:
-                        row = {**outcome.payload, "status": STATUS_OK,
-                               "error": ""}
-                        self.stats.ok += 1
-                        status = STATUS_OK
-                    else:
-                        status = self._classify_failure(key,
-                                                        outcome.status)
-                        row = {**key, "status": status,
-                               "error": outcome.payload}
-                        if outcome.status == STATUS_CRASHED:
-                            # Quarantined cells never reach the normal
-                            # completion path; drop their watchdog file
-                            # now rather than leaking it.
-                            self._drop_heartbeat(key)
-                    self._record(key, status, row)
-                    rows[outcome.index] = row
+                    rows[outcome.index] = self._finish(outcome, degrade)
             finally:
-                stats = executor.stats
-                self.stats.worker_restarts += stats.worker_restarts
-                self.stats.rescheduled += stats.rescheduled
-                if self.executor is None:
-                    executor.close()
+                self.stats.worker_restarts += \
+                    executor.stats.worker_restarts
+                self.stats.rescheduled += executor.stats.rescheduled
+                executor.close()
         return rows  # type: ignore[return-value]
+
+    def _executor(self, jobs: int):
+        """The executor for one batch: serial in-process, or a pool."""
+        if jobs == 1:
+            return SerialExecutor(
+                self.timeout_s, self.retry,
+                on_attempt=(self.faults.on_attempt
+                            if self.faults is not None else None),
+                sleep=self._sleep)
+        return SupervisedPoolExecutor(
+            jobs, timeout_s=self.timeout_s, retry=self.retry,
+            max_worker_restarts=self.max_worker_restarts,
+            max_cell_crashes=self.max_cell_crashes,
+            kill_plan=(self.faults.kill_plan()
+                       if self.faults is not None else None))
+
+    def _finish(self, outcome: CellOutcome,
+                degrade: bool) -> Dict[str, Any]:
+        """Turn one outcome into its journaled row, tallying stats.
+
+        A failed outcome becomes ``{**key, "status", "error"}`` — or,
+        with ``degrade=False``, closes the journal and re-raises the
+        serial executor's original exception.
+        """
+        key = outcome.key
+        if outcome.status == STATUS_OK:
+            row = {**outcome.payload, "status": STATUS_OK, "error": ""}
+            self.stats.ok += 1
+            self._record(key, STATUS_OK, row)
+            return row
+        status = self._classify_failure(key, outcome.status)
+        if not degrade:
+            self.close()
+            raise outcome.payload
+        if outcome.status == STATUS_CRASHED:
+            # Quarantined cells never reach the normal completion path;
+            # drop their watchdog file now rather than leaking it.
+            self._drop_heartbeat(key)
+        row = {**key, "status": status,
+               "error": error_text(outcome.payload)}
+        self._record(key, status, row)
+        return row
 
     def _drop_heartbeat(self, key: Dict[str, Any]) -> None:
         beat = self._heartbeat_for(key)
@@ -576,14 +545,3 @@ class ResilientRunner:
         else:
             self.stats.errors += 1
         return status
-
-    def _degrade(self, key: Dict[str, Any], status: str,
-                 exc: BaseException, degrade: bool) -> Dict[str, Any]:
-        status = self._classify_failure(key, status)
-        if not degrade:
-            self.close()
-            raise exc
-        row = {**key, "status": status,
-               "error": f"{type(exc).__name__}: {exc}"}
-        self._record(key, status, row)
-        return row

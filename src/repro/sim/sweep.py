@@ -48,7 +48,7 @@ from .config import L1Config, SystemConfig, inorder_system, ooo_system
 from .executors import STATUS_OK
 from .experiment import TraceCache, run_app
 from .resilience import ResilientRunner
-from .warmstate import WarmStateCache, ephemeral_warm_cache, \
+from .warmstate import StoreRoot, WarmStateCache, drop_warm_cache, \
     warm_cache_for
 
 #: The columns every sweep row carries, in CSV order. ``status`` is
@@ -198,13 +198,17 @@ def _result_row(app: str, name: str, core: str,
     }
 
 
+def _provenance(key: Dict[str, object], trace) -> dict:
+    """A store entry's human-readable provenance: cell key + length."""
+    return {**key, "n_accesses": len(trace)}
+
+
 def _publish(store: Optional[ResultStore], trace, system: SystemConfig,
              key: Dict[str, object], result) -> None:
-    """Publish one simulated result to the persistent store, if any,
-    with the cell key and length as its human-readable provenance."""
+    """Publish one simulated result to the persistent store, if any."""
     if store is not None:
         store.store_result(store.digest(trace, system), result,
-                           meta={**key, "n_accesses": len(trace)})
+                           meta=_provenance(key, trace))
 
 
 @dataclass(frozen=True)
@@ -212,10 +216,11 @@ class _Plan:
     """What every cell of one sweep shares.
 
     Pickled into each pool task, so parallel sweeps leave ``traces``
-    unset (cells attach a substrate handle instead) and ``warm_dir``
-    names the cross-process warm-state directory; serial sweeps read
-    traces from the caller's cache and warm through the process-wide
-    ephemeral tier (``warm_dir=None``).
+    unset (cells attach a substrate handle instead); serial sweeps read
+    traces from the caller's cache. Every cell warms through
+    ``warm_cache_for(warm_root)``: the persistent ``store`` when there
+    is one, else memory only (serial) or a sweep-scoped temporary
+    store root the pool workers share (parallel).
     """
 
     n_accesses: Optional[int]
@@ -224,14 +229,8 @@ class _Plan:
     checkpoint_every: Optional[int]
     engine: str
     store: Optional[ResultStore]
-    warm_dir: Optional[str]
+    warm_root: StoreRoot
     traces: Optional[TraceCache]
-
-    def warm_cache(self) -> WarmStateCache:
-        if self.warm_dir is None:
-            return ephemeral_warm_cache()
-        root = self.store.root if self.store is not None else None
-        return warm_cache_for(self.warm_dir, root)
 
 
 def _baseline_result(plan: _Plan, warm: WarmStateCache, trace, app: str,
@@ -252,10 +251,9 @@ def _baseline_result(plan: _Plan, warm: WarmStateCache, trace, app: str,
                          n_accesses=plan.n_accesses, seed=seed,
                          trace=trace, warm_state=warm, engine=plan.engine)
         if reuse:
-            _publish(plan.store, trace, system,
-                     cell_key(app, plan.baseline, core, condition, seed),
-                     result)
-            warm.store_result(trace, system, result)
+            warm.store_result(trace, system, result, meta=_provenance(
+                cell_key(app, plan.baseline, core, condition, seed),
+                trace))
     return result
 
 
@@ -269,7 +267,8 @@ def _sweep_cell(plan: _Plan, app: str, name: str, cfg: L1Config,
     when the cell has a substrate ``handle`` (pool workers), else it
     loads lazily from ``plan.traces``. A baseline-config cell runs with
     warm-state reuse and seeds the result memo its siblings'
-    normalization runs read (:func:`_baseline_result`); every simulated
+    normalization runs read (:func:`_baseline_result`) — which, with a
+    store, is also its one publication there; every other simulated
     result is published to ``plan.store``. ``checkpoint_path`` doubles
     as the resume source (a missing file just means a fresh start).
     Everything is deterministic, so the row is the same whichever
@@ -279,7 +278,7 @@ def _sweep_cell(plan: _Plan, app: str, name: str, cfg: L1Config,
         trace = (attach(handle) if handle is not None
                  else plan.traces.get(app, plan.n_accesses, condition,
                                       seed))
-        warm = plan.warm_cache()
+        warm = warm_cache_for(plan.warm_root)
         faulted = _faults.any_armed()
         system = _system_for(core, cfg)
         is_baseline = name == plan.baseline
@@ -292,10 +291,12 @@ def _sweep_cell(plan: _Plan, app: str, name: str, cfg: L1Config,
                          warm_state=warm if is_baseline else None,
                          engine=plan.engine)
         if not faulted:
-            _publish(plan.store, trace, system,
-                     cell_key(app, name, core, condition, seed), result)
+            key = cell_key(app, name, core, condition, seed)
             if is_baseline:
-                warm.store_result(trace, system, result)
+                warm.store_result(trace, system, result,
+                                  meta=_provenance(key, trace))
+            else:
+                _publish(plan.store, trace, system, key, result)
         if is_baseline:
             base = result
         elif plan.baseline is not None:
@@ -321,6 +322,8 @@ def _stored_rows(spec: SweepSpec, n_accesses: Optional[int],
     ratio columns are then computed exactly like an executed cell
     computes them, from the same two deterministic results, so the row
     bytes match a cold run. Anything missing or unreadable is a miss.
+    Each group's baseline entry is read once, whether the baseline
+    cell or a sibling asks first.
     """
     base_cfg = (spec.configs[spec.baseline]
                 if spec.baseline is not None else None)
@@ -331,7 +334,7 @@ def _stored_rows(spec: SweepSpec, n_accesses: Optional[int],
             continue
         trace = traces.get(app, n_accesses, condition, seed)
         base = None
-        if base_cfg is not None and name != spec.baseline:
+        if base_cfg is not None:
             group = (app, core, condition.value, seed)
             if group not in base_memo:
                 base_memo[group] = store.fetch_result(
@@ -340,13 +343,12 @@ def _stored_rows(spec: SweepSpec, n_accesses: Optional[int],
             if base is None:
                 yield i, key, None
                 continue
-        result = store.fetch_result(
-            store.digest(trace, _system_for(core, cfg)))
+        result = (base if name == spec.baseline
+                  else store.fetch_result(
+                      store.digest(trace, _system_for(core, cfg))))
         if result is None:
             yield i, key, None
             continue
-        if name == spec.baseline:
-            base = result
         yield i, key, _result_row(app, name, core, condition, seed,
                                   result, base)
 
@@ -416,10 +418,11 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     * warm state — baseline-config cells snapshot their completed run
       and result through :class:`WarmStateCache`; every other cell's
       normalization run fetches that result instead of re-simulating.
-      Serial sweeps use the process-wide in-memory tier; parallel
-      sweeps exchange entries through a temporary directory removed on
-      exit, and the pool dispatches baseline cells first so their
-      results are there when siblings look.
+      Every cell uses :func:`warm_cache_for` on one root: the
+      ``store`` when given; otherwise the process-wide memory-only
+      cache (serial), or a temporary store root the pool workers share
+      (parallel), removed on exit. Baseline cells are dispatched first
+      so their results are there when siblings look.
 
     With a ``store`` (a :class:`~repro.store.ResultStore` or a store
     root path; CLI: ``sweep --store``), the grid is deduped against
@@ -462,12 +465,9 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
         hits = _store_prepass(spec, n_accesses, traces, store, runner)
     parallel = runner.jobs > 1
     trace_store = TraceStore() if parallel else None
-    warm_dir = tempfile.mkdtemp(prefix="repro-warm-") if parallel else None
-    # The serial warm tier is process-wide, so repeated sweeps in one
-    # process reuse each other's baselines; the store backs it for
-    # this sweep only.
-    ephemeral = ephemeral_warm_cache()
-    prior_tier, ephemeral.result_store = ephemeral.result_store, store
+    warm_root: StoreRoot = store
+    if store is None and parallel:
+        warm_root = tempfile.mkdtemp(prefix="repro-warm-")
     try:
         handles: Dict[tuple, TraceHandle] = {}
         if trace_store is not None:
@@ -485,7 +485,7 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
                      baseline_cfg=(spec.configs[spec.baseline]
                                    if spec.baseline is not None else None),
                      checkpoint_every=checkpoint_every, engine=engine,
-                     store=store, warm_dir=warm_dir,
+                     store=store, warm_root=warm_root,
                      traces=None if parallel else traces)
         cells: List[Tuple[dict, partial]] = []
         first: List[int] = []
@@ -507,11 +507,12 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
         return [{**blank, **(hits[i] if i in hits else next(executed))}
                 for i in range(len(hits) + len(cells))]
     finally:
-        ephemeral.result_store = prior_tier
         if trace_store is not None:
             trace_store.close()
-        if warm_dir is not None:
-            shutil.rmtree(warm_dir, ignore_errors=True)
+        if warm_root is not None:
+            drop_warm_cache(warm_root)
+            if store is None:
+                shutil.rmtree(warm_root, ignore_errors=True)
 
 
 def rows_from_store(spec: SweepSpec, n_accesses: Optional[int],

@@ -35,17 +35,14 @@ from repro.sim.checkpoint import (
     write_checkpoint,
     write_heartbeat,
 )
+from repro.sim.executors import call_with_timeout
 from repro.sim.faults import (
     FaultInjector,
     WorkerCrash,
     arm_fault,
     clear_armed,
 )
-from repro.sim.resilience import (
-    ResilientRunner,
-    call_with_timeout,
-    load_journal,
-)
+from repro.sim.resilience import ResilientRunner, load_journal
 from repro.sim.sweep import SweepSpec, run_sweep, to_csv
 
 CACHE = TraceCache()

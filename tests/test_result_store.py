@@ -30,7 +30,8 @@ from repro.sim.faults import FaultInjector
 from repro.sim.resilience import ResilientRunner
 from repro.sim.sweep import (SweepSpec, grid_cells, rows_from_store,
                              run_sweep)
-from repro.sim.warmstate import ephemeral_warm_cache
+from repro.sim import warmstate
+from repro.sim.warmstate import WarmStateCache, warm_cache_for
 from repro.store import (ResultStore, cell_digest, job_id_for, job_status,
                          list_jobs, load_job, release_claims, submit_job,
                          system_payload)
@@ -320,15 +321,16 @@ def test_missing_baseline_keeps_cell_cold(tmp_path, trace):
 
 
 # ---------------------------------------------------------------------
-# Ephemeral tier: the cross-invocation warm-reuse bugfix
+# Memory-only warm tier: the cross-invocation warm-reuse bugfix
 # ---------------------------------------------------------------------
 
-def test_serial_sweeps_share_ephemeral_warm_cache_across_calls():
+def test_serial_sweeps_share_memory_warm_cache_across_calls():
     """Regression: each run_sweep used to build a private cache, so a
     second invocation in the same process re-simulated every baseline
-    the first had already published."""
-    cache = ephemeral_warm_cache()
-    assert cache is ephemeral_warm_cache()  # process-wide singleton
+    the first had already published. Storeless serial sweeps share the
+    process-wide memory-only registry entry."""
+    cache = warm_cache_for()
+    assert cache is warm_cache_for(None)  # process-wide singleton
     spec = SweepSpec(apps=["tonto"],
                      configs={"base": BASELINE_L1,
                               "sipt": SIPT_GEOMETRIES["32K_2w"]},
@@ -339,10 +341,49 @@ def test_serial_sweeps_share_ephemeral_warm_cache_across_calls():
     assert cache.hits > hits_before
 
 
-def test_ephemeral_store_tier_detaches_after_sweep(tmp_path):
+def test_ephemeral_store_tier_detaches_after_sweep(tmp_path, monkeypatch):
+    """A store-backed sweep warms through the store root's registry
+    entry, bound to the caller's store for that sweep only; the
+    memory-only entry never holds a store."""
+    store = ResultStore(tmp_path)
+    seen = []
+    fetch_result = WarmStateCache.fetch_result
+
+    def spy(self, trace, system):
+        seen.append(self)
+        return fetch_result(self, trace, system)
+    monkeypatch.setattr(WarmStateCache, "fetch_result", spy)
     run_sweep(spec_small(), n_accesses=600, traces=TraceCache(),
+              store=store)
+    assert seen and all(c.result_store is store for c in seen)
+    assert warm_cache_for().result_store is None
+    assert str(tmp_path) not in warmstate._SHARED
+
+
+def test_each_baseline_result_is_published_once(tmp_path, monkeypatch):
+    """Regression: the baseline cell published its result to the store
+    and then again through the warm cache (an extra digest and a
+    touch). Every digest of a serial sweep is stored exactly once."""
+    calls = {}
+    store_result = ResultStore.store_result
+
+    def counting(self, digest, result, meta=None):
+        calls[digest] = calls.get(digest, 0) + 1
+        return store_result(self, digest, result, meta=meta)
+    monkeypatch.setattr(ResultStore, "store_result", counting)
+    spec = SweepSpec(apps=["gamess"],
+                     configs={"base": BASELINE_L1,
+                              "sipt": SIPT_GEOMETRIES["32K_2w"],
+                              "sipt4": SIPT_GEOMETRIES["32K_4w"]},
+                     seeds=[0], baseline="base")
+    run_sweep(spec, n_accesses=600, traces=TraceCache(),
               store=ResultStore(tmp_path))
-    assert ephemeral_warm_cache().result_store is None
+    assert len(calls) == 3
+    assert set(calls.values()) == {1}
+    # The baseline's single publication still carries its provenance.
+    metas = [json.loads(path.read_text())
+             for path in tmp_path.rglob("*.meta.json")]
+    assert sorted(m["config"] for m in metas) == ["base", "sipt", "sipt4"]
 
 
 # ---------------------------------------------------------------------

@@ -287,6 +287,32 @@ def test_data_fault_parallel_then_resume_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _cell_without_simulation():
+    return {"app": "noop"}
+
+
+def _gamess_cell():
+    from repro.sim import ooo_system
+    from repro.sim.experiment import run_app
+    result = run_app("gamess", ooo_system(BASELINE_L1), n_accesses=600)
+    return {"app": "gamess", "ipc": result.ipc}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_data_fault_does_not_leak_into_next_cell(jobs):
+    """A data fault aimed at a cell that never reaches ``simulate`` is
+    cleared after that cell's attempt; it must not corrupt the next
+    cell. Regression: the serial path armed it and left it armed, so
+    cell 1 degraded with a TraceError."""
+    from repro.sim import faults
+    runner = ResilientRunner(jobs=jobs,
+                             faults=FaultInjector(["corrupt_trace@0"]))
+    rows = runner.run_cells([({"cell": 0}, _cell_without_simulation),
+                             ({"cell": 1}, _gamess_cell)])
+    assert [r["status"] for r in rows] == ["ok", "ok"], rows
+    assert not faults.any_armed()
+
+
 # ---------------------------------------------------------------------
 # Heartbeat hygiene (ISSUE 6 satellite: SIGKILLed workers leak beats)
 # ---------------------------------------------------------------------
