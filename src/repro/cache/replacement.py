@@ -63,8 +63,8 @@ class LruPolicy(ReplacementPolicy):
         if n_ways > 255:
             raise ValueError(f"LruPolicy supports at most 255 ways, "
                              f"got {n_ways}")
-        self._stacks: List[bytearray] = [bytearray(range(n_ways))
-                                         for _ in range(n_sets)]
+        stack = bytearray(range(n_ways))
+        self._stacks: List[bytearray] = [stack[:] for _ in range(n_sets)]
 
     def touch(self, set_index: int, way: int) -> None:
         stack = self._stacks[set_index]

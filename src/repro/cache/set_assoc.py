@@ -116,10 +116,12 @@ class SetAssociativeCache:
         # — ``array.index`` even compares raw int64s instead of boxed
         # ints — while a checkpoint serializes each whole plane with
         # one C-level join instead of flattening 10k+ Python objects
-        # (see state_dict).
-        self._tags: List[array] = [array("q", [-1] * n_ways)
-                                   for _ in range(n_sets)]
-        self._dirty: List[bytearray] = [bytearray(n_ways)
+        # (see state_dict). Rows are sliced from one prototype: a slice
+        # copy is several times cheaper than building each row afresh.
+        tags_row = array("q", [-1] * n_ways)
+        dirty_row = bytearray(n_ways)
+        self._tags: List[array] = [tags_row[:] for _ in range(n_sets)]
+        self._dirty: List[bytearray] = [dirty_row[:]
                                         for _ in range(n_sets)]
         # Per-set line -> way map mirroring ``_tags``: an associative
         # lookup is O(1) instead of an O(ways) list scan on every probe.

@@ -51,8 +51,9 @@ class _TlbArray:
         self.page_shift = page_shift
         self.n_sets = n_entries // n_ways
         self.n_ways = n_ways
-        self._tags = [[None] * n_ways for _ in range(self.n_sets)]
-        self._entries = [[None] * n_ways for _ in range(self.n_sets)]
+        empty = [None] * n_ways
+        self._tags = [empty[:] for _ in range(self.n_sets)]
+        self._entries = [empty[:] for _ in range(self.n_sets)]
         self._policy = LruPolicy(self.n_sets, n_ways)
         # key -> (set_index, way) accelerator over the way arrays: the
         # hot lookup becomes one dict probe instead of an O(ways) scan.

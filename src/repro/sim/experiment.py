@@ -101,7 +101,7 @@ def run_app(app: str, system: SystemConfig,
             checkpoint_path=None,
             resume_checkpoint=None,
             trace: Optional[Trace] = None,
-            warm_state=None, engine: str = "python") -> SimResult:
+            warm_state=None, engine: str = "kernel") -> SimResult:
     """Simulate one app on one system (trace memoized).
 
     ``interval``, ``decision_trace``, and the checkpoint controls
@@ -119,8 +119,8 @@ def run_app(app: str, system: SystemConfig,
     :class:`~repro.sim.warmstate.WarmStateCache`) lets deterministic
     sibling runs of the same (trace, system) restore a completed
     snapshot instead of replaying; see :func:`simulate`. ``engine``
-    selects the replay implementation (``"python"`` oracle or the
-    byte-identical ``"kernel"`` array engine).
+    selects the replay implementation: the byte-identical ``"kernel"``
+    (default) or the ``"python"`` oracle.
 
     Typed errors from trace generation or simulation gain the
     (app, seed) cell context on the way out, so sweeps can journal the
@@ -145,7 +145,7 @@ def run_suite(system: SystemConfig,
               condition: MemoryCondition = MemoryCondition.NORMAL,
               n_accesses: Optional[int] = None, seed: int = 0,
               cache: Optional[TraceCache] = None,
-              engine: str = "python") -> Dict[str, SimResult]:
+              engine: str = "kernel") -> Dict[str, SimResult]:
     """Simulate the (default 26-app) suite on one system."""
     apps = list(apps) if apps is not None else list(EVALUATED_APPS)
     return {app: run_app(app, system, condition, n_accesses, seed, cache,

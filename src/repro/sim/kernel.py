@@ -1,11 +1,30 @@
-"""Array-compiled replay engine with a pure-python differential oracle.
+"""The replay engine behind ``engine="kernel"``: two passes, one oracle.
 
 The interpreter-level fused loop (``driver._replay_range``) pays the
 full per-access cost of the SIPT pipeline — TLB method calls, a
 13-weight perceptron dot product, outcome objects, two result objects —
-on every access. This module replays the same pipeline as **one
-exec-compiled pass** per (core kind, speculation variant, way
-prediction) shape, generated from :data:`_LOOP_TEMPLATE`:
+on every access. This module replays the same pipeline, byte-identical
+to that oracle, through one of two passes:
+
+* **The native pass** (:mod:`repro.sim.native`, ``_replay.c``): one C
+  ``step()`` with runtime flags for the core kind, speculation variant
+  and way prediction, driven by a range loop behind
+  :meth:`KernelEngine.replay` and by a round-robin over N cores that
+  share the LLC and DRAM behind :func:`run_multicore_kernel`. It runs
+  every analytic-core (``ooo``/``inorder``) configuration inside the
+  envelope on a private copy of all structural state, exported before
+  and imported back after each call, so python stays authoritative
+  between ranges. It is compiled on first use and cached.
+* **The python pass**, exec-compiled from :data:`_LOOP_TEMPLATE` per
+  (core kind, speculation variant, way prediction) shape. It runs
+  whenever the native pass cannot: the detailed core (its live
+  ``retire``/``memory_access`` calls stay in the loop), a box where the
+  C build fails, and a range whose predictor state the C pass cannot
+  take (a poisoned perceptron, for which it raises the oracle's error).
+  Every such case is counted under a ``native:`` reason in
+  :data:`DECLINES` (``native:core-det``, ``native:no-compiler``, ...).
+
+The python pass works on the live components:
 
 * **Translation** — the L1 TLB hit path (2 MiB array, then 4 KiB
   array: one dict probe and an LRU touch) runs inline on the live
@@ -30,31 +49,21 @@ prediction) shape, generated from :data:`_LOOP_TEMPLATE`:
   hierarchy with non-default components keeps the live python methods
   instead (counted as ``miss-path-live`` in :data:`DECLINES`).
 
-All structural state lives in the live components, so every range
-starts from whatever the context holds — a fresh build, the previous
-chunk, or a ``load_state_dict`` restore — and chunked, checkpointed
-and resumed replays chain with nothing to verify. Counters run in
-loop locals and are folded into the live stats objects at range end
-(:func:`_fold`), so ``state_dict()`` and the metrics registry always
-see oracle state between ranges.
-
-The only per-trace artifacts are derived columns memoized on
-:meth:`TraceColumns.kernel_memo`: physical addresses, L1 line and set
+Both passes start every range from whatever the context holds — a
+fresh build, the previous chunk, or a ``load_state_dict`` restore — so
+chunked, checkpointed and resumed replays chain with nothing to
+verify, and both fold their counters into the live stats objects at
+range end (:func:`_fold_front`), so ``state_dict()`` and the metrics
+registry always see oracle state between ranges. The python pass's
+per-trace artifacts are derived columns memoized on
+:meth:`TraceColumns.kernel_memo` (physical addresses, L1 line and set
 index, width-scaled gaps, the instruction prefix sum, whether the
-speculated index bits survive translation, and the perceptron entry
-per PC.
-
-The envelope covers all three core models: the analytic
-``ooo``/``inorder`` cores compile to pure stall arithmetic, while
-``ooo-detailed`` keeps its live ``retire``/``memory_access`` calls in
-the loop (its issue/retire recurrence is real state).
-:func:`run_multicore_kernel` compiles the same pass as a generator
-that yields after every access, so the round-robin driver interleaves
-cores exactly like the oracle loop over the shared LLC/DRAM.
+speculated index bits survive translation, the perceptron entry per
+PC); the native pass memoizes its int64 columns there too.
 
 **Oracle equivalence.** ``simulate(engine="kernel")`` must produce
-byte-identical results to the python path. Anything the pass does not
-model declines at build and leaves the whole run to the oracle:
+byte-identical results to the python path. Anything neither pass
+models declines at build and leaves the whole run to the oracle:
 subclassed components, non-LRU L1 replacement, page-bound IDB, and
 predictor state that is not finite ints (a NaN-poisoned perceptron
 declines as ``predictor-state``, and the oracle then raises its own
@@ -66,7 +75,9 @@ ternary substitutes for ``min``/``max`` use ``<=``/``>=`` so ties
 return the same value; ``max(df, 0.45)`` in the OOO L2 band is the
 constant ``0.45`` because every dep factor is below it; stall terms
 are accumulated onto locals seeded from the live stats in the same
-order the oracle adds them.
+order the oracle adds them. The C pass keeps the same expressions and
+is built with ``-ffp-contract=off`` and refuses platforms with excess
+float precision.
 """
 
 from __future__ import annotations
@@ -87,6 +98,7 @@ from ..timing.detailed import DetailedOooCore
 from ..timing.inorder import InOrderCore
 from ..timing.ooo import OooCore
 from ..workloads.substrate import columns_for
+from . import native
 
 _PAGE_OFF_MASK = (1 << PAGE_SHIFT) - 1
 
@@ -702,15 +714,10 @@ def _start(ctx, plan: _Plan, rows):
 
 
 def _fold(ctx, plan: _Plan, start: int, end: int, out: tuple) -> None:
-    """Fold a replayed range's counters and per-range state into ``ctx``.
+    """Fold a python-pass range's counters and per-range state into ``ctx``.
 
-    ``out`` is the loop's return tuple. Outcome counts are derived from
-    the few the loop keeps: every access is exactly one of fast, extra,
-    opportunity loss or correct bypass; NAIVE/COMBINED accesses are all
-    fast or extra, which is why speculative probes are ``fast + extra``
-    for every variant (BYPASS probes only when it speculates); and
-    fast IDB/reversed predictions are the COMBINED fast accesses that
-    did not come from an endorsed speculation.
+    ``out`` is the loop's return tuple; the front-end counts go through
+    :func:`_fold_front`, shared with the native pass.
     """
     (cyc, ld_stall, st_stall, port_busy, hb, hits, evics, l1_wb,
      wp_pred, wp_corr, wp_sec, tl1, pconf, n_fast, n_extra, n_ol,
@@ -742,6 +749,29 @@ def _fold(ctx, plan: _Plan, start: int, end: int, out: tuple) -> None:
     cstats.evictions += evics
     cstats.writebacks += l1_wb
     cstats.fills += misses
+    perc = l1.perceptron
+    if perc is not None:
+        history = perc._history
+        history[:] = [1 if hb >> j & 1 else -1
+                      for j in range(len(history))]
+    _fold_front(ctx, d, n_fast, n_extra, n_ol, n_via, n_idb, pcorr,
+                wp_pred, wp_corr, wp_sec)
+
+
+def _fold_front(ctx, d: int, n_fast: int, n_extra: int, n_ol: int,
+                n_via: int, n_idb: int, pcorr: int, wp_pred: int,
+                wp_corr: int, wp_sec: int) -> None:
+    """Fold ``d`` accesses' SIPT front-end counts into ``ctx``.
+
+    Outcome counts are derived from the few both passes keep: every
+    access is exactly one of fast, extra, opportunity loss or correct
+    bypass; NAIVE/COMBINED accesses are all fast or extra, which is why
+    speculative probes are ``fast + extra`` for every variant (BYPASS
+    probes only when it speculates); and fast IDB/reversed predictions
+    are the COMBINED fast accesses that did not come from an endorsed
+    speculation.
+    """
+    l1 = ctx.l1
     sstats = l1.stats
     sstats.accesses += d
     if not l1._is_sipt:
@@ -762,9 +792,6 @@ def _fold(ctx, plan: _Plan, start: int, end: int, out: tuple) -> None:
     if perc is not None:
         perc.stats.predictions += d
         perc.stats.correct += pcorr
-        history = perc._history
-        history[:] = [1 if hb >> j & 1 else -1
-                      for j in range(len(history))]
     idb = l1.idb
     if idb is not None:
         idb.stats.predictions += n_via
@@ -777,6 +804,15 @@ def _fold(ctx, plan: _Plan, start: int, end: int, out: tuple) -> None:
         wp.stats.second_accesses += wp_sec
 
 
+def _fold_native(ctx, cnt: list) -> None:
+    """Fold the native pass's front-end counters (``core_t.cnt``)."""
+    _fold_front(ctx, cnt[native.K_STEPS], cnt[native.K_FAST],
+                cnt[native.K_EXTRA], cnt[native.K_OPP_LOSS],
+                cnt[native.K_VIA_IDB], cnt[native.K_IDB_HITS],
+                cnt[native.K_PERC_CORRECT], cnt[native.K_WP_PRED],
+                cnt[native.K_WP_CORRECT], cnt[native.K_WP_SECOND])
+
+
 class KernelEngine:
     """Replays ranges of one context's trace through the compiled pass.
 
@@ -784,20 +820,33 @@ class KernelEngine:
     signature via :meth:`replay`). Built by :func:`make_engine`. Each
     range runs from the live state and folds back into it, so ranges
     chain in any order a caller produces — sequential chunks, or a
-    fresh engine over a context restored from a checkpoint.
+    fresh engine over a context restored from a checkpoint. With a
+    native plan every range runs in C; a range whose predictor state
+    the C pass cannot take (a poisoned perceptron) runs on the python
+    pass, built on first need, which raises the oracle's error.
     """
 
-    def __init__(self, ctx, plan: _Plan):
+    def __init__(self, ctx, plan: Optional[_Plan],
+                 native_plan: Optional[native.NativePlan] = None):
         self._ctx = ctx
         self._plan = plan
-        # (position, row iterator) parked by the previous range, so a
-        # chunked replay consumes one zip in O(n).
+        self._native = native_plan
+        # (position, row iterator) parked by the previous python-pass
+        # range, so a chunked replay consumes one zip in O(n).
         self._cursor = None
 
     def replay(self, ctx, start: int, end: int) -> None:
         """Replay accesses ``[start, end)``, chaining like the oracle."""
         if end <= start:
             return
+        ctx = self._ctx
+        if self._native is not None and _predictor_state_ok(ctx.l1):
+            cnt = native.replay(ctx, self._native, start, end)
+            if cnt is not None:
+                _fold_native(ctx, cnt)
+                return
+        if self._plan is None:
+            self._plan = _build(ctx, stepwise=False)
         cursor = self._cursor
         if cursor is not None and cursor[0] == start:
             it = cursor[1]
@@ -806,9 +855,9 @@ class KernelEngine:
             if start:
                 next(islice(it, start - 1, start), None)
         self._cursor = None
-        out = _start(self._ctx, self._plan, islice(it, end - start))
+        out = _start(ctx, self._plan, islice(it, end - start))
         self._cursor = (end, it)
-        _fold(self._ctx, self._plan, start, end, out)
+        _fold(ctx, self._plan, start, end, out)
 
 
 # ----------------------------------------------------------------------
@@ -824,23 +873,41 @@ def make_engine(ctx, oracle: Optional[Callable] = None
     way prediction, page-bound IDB, non-finite predictor state) and
     any trace whose columns fail to build (e.g. unmapped pages: the
     oracle then raises the same fault the python path would). Every
-    ``None`` is counted under its reason in :data:`DECLINES`;
-    ``REPRO_KERNEL_DEBUG=1`` re-raises swallowed build exceptions
+    ``None`` is counted under its reason in :data:`DECLINES`. Within
+    the envelope the engine runs the native pass; where that cannot
+    run (the detailed core, no compiler, ...) it counts a ``native:``
+    reason and runs the python pass. ``REPRO_KERNEL_DEBUG=1``
+    re-raises swallowed build exceptions and native build failures
     instead of declining, for diagnosis. ``oracle`` (the python range
     replayer) is accepted for callers that pass it, but a built engine
     never falls back to it: it has no runtime fallback.
     """
     try:
-        plan = _plan(ctx, stepwise=False)
+        reason = _gate(ctx)
+        if reason is None:
+            native_plan = _native_plan(ctx)
+            plan = (None if native_plan is not None
+                    else _build(ctx, stepwise=False))
     except Exception as exc:  # noqa: BLE001 — build failure means oracle
         if os.environ.get("REPRO_KERNEL_DEBUG"):
             raise
         _decline(f"build-error:{type(exc).__name__}")
         return None
-    if isinstance(plan, str):
-        _decline(plan)
+    if reason is not None:
+        _decline(reason)
         return None
-    return KernelEngine(ctx, plan)
+    return KernelEngine(ctx, plan, native_plan)
+
+
+def _native_plan(ctx) -> Optional[native.NativePlan]:
+    """The context's native plan, or None after counting why not."""
+    try:
+        return native.plan(ctx, _spec_kind(ctx.l1))
+    except native.NativeUnavailable as exc:
+        if exc.failure and os.environ.get("REPRO_KERNEL_DEBUG"):
+            raise
+        _decline(exc.reason)
+        return None
 
 
 _CORE_KINDS = {OooCore: "ooo", InOrderCore: "ino",
@@ -862,40 +929,63 @@ def _predictor_state_ok(l1) -> bool:
                     for x in perc._history))
 
 
-def _plan(ctx, stepwise: bool):
-    """Gate a context and compile its pass; a str is a decline reason.
+def _gate(ctx) -> Optional[str]:
+    """Why the kernel must leave ``ctx`` to the oracle, or None.
 
-    Shared by :func:`make_engine` (single-core) and
+    Shared by :func:`make_engine` and :func:`run_multicore_kernel`;
+    both passes model exactly what passes this gate.
+    """
+    l1 = ctx.l1
+    if type(ctx.core) not in _CORE_KINDS:
+        return "core-type"
+    if type(l1.cache.policy) is not LruPolicy:
+        return "l1-replacement-policy"
+    if type(l1.tlb) is not TlbHierarchy:
+        return "tlb-type"
+    wp = l1.way_predictor
+    if wp is not None and type(wp) is not WayPredictor:
+        return "way-predictor-type"
+    idb = l1.idb
+    if idb is not None and idb.page_bound:
+        return "idb-page-bound"
+    if not _predictor_state_ok(l1):
+        return "predictor-state"
+    if ctx._len == 0:
+        return "empty-trace"
+    if int(np.asarray(ctx.trace.inst_gap).min()) < 0:
+        return "negative-gap"   # the oracle raises the retire() ValueError
+    return None
+
+
+def _spec_kind(l1) -> str:
+    """The speculation variant both passes specialize on."""
+    if not l1._is_sipt:
+        return "none"
+    if l1._is_naive:
+        return "naive"
+    if l1._is_bypass:
+        return "bypass"
+    return "rev" if l1.idb is None else "idb"
+
+
+def _build(ctx, stepwise: bool) -> _Plan:
+    """Compile the python pass for a gated context.
+
+    Shared by :class:`KernelEngine` (single-core) and
     :func:`run_multicore_kernel` (``stepwise``: the generator form).
     """
     l1 = ctx.l1
     cache = l1.cache
     tlb = l1.tlb
     core = ctx.core
-    kind = _CORE_KINDS.get(type(core))
-    if kind is None:
-        return "core-type"
-    if type(cache.policy) is not LruPolicy:
-        return "l1-replacement-policy"
-    if type(tlb) is not TlbHierarchy:
-        return "tlb-type"
+    kind = _CORE_KINDS[type(core)]
     wp = l1.way_predictor
-    if wp is not None and type(wp) is not WayPredictor:
-        return "way-predictor-type"
     perc = l1.perceptron
     idb = l1.idb
-    if idb is not None and idb.page_bound:
-        return "idb-page-bound"
-    if not _predictor_state_ok(l1):
-        return "predictor-state"
     n = ctx._len
-    if n == 0:
-        return "empty-trace"
     trace = ctx.trace
     page_table = ctx._page_table
     gap_arr = np.asarray(trace.inst_gap, dtype=np.int64)
-    if int(gap_arr.min()) < 0:
-        return "negative-gap"   # the oracle raises the retire() ValueError
     cols = columns_for(trace)
     memo = cols.kernel_memo()
 
@@ -960,15 +1050,8 @@ def _plan(ctx, stepwise: bool):
                     ctx._dep, pa_list, line_list, sidx_list, unchanged,
                     pentry)
 
-    if not l1._is_sipt:
-        spec = "none"
-    elif l1._is_naive:
-        spec = "naive"
-    elif l1._is_bypass:
-        spec = "bypass"
-    else:
-        spec = "rev" if idb is None else "idb"
-    plan.loop = _compile_loop((kind, spec, stepwise), wp is not None)
+    plan.loop = _compile_loop((kind, _spec_kind(l1), stepwise),
+                              wp is not None)
 
     args = dict.fromkeys(_LOOP_PARAMS)
     args.update(
@@ -1050,31 +1133,48 @@ class _McCore:
 
 
 def run_multicore_kernel(contexts: Sequence) -> bool:
-    """Drive a whole multicore run through per-core compiled passes.
+    """Drive a whole multicore run through the native or python pass.
 
     Returns True when the run completed — every context then holds its
     finished state, exactly as the oracle loop would have left it —
     and False to decline, in which case nothing was mutated and the
-    caller falls back to the oracle loop from cold state. Cores share
-    the LLC and DRAM through their compiled miss paths (the same live
-    containers), TLBs and predictors are per-core, and the round-robin
-    interleaving is the oracle's, so shared-state evolution is
-    byte-identical. Declines are counted under ``multicore:``-prefixed
-    reasons in :data:`DECLINES`.
+    caller falls back to the oracle loop from cold state. The native
+    pass runs the whole round-robin in C over one shared LLC/DRAM copy;
+    otherwise (a ``native:`` decline, e.g. the detailed core) each core
+    runs the python pass as a generator over the same live containers.
+    Either way the interleaving is the oracle's, so shared-state
+    evolution is byte-identical. Oracle declines are counted under
+    ``multicore:``-prefixed reasons in :data:`DECLINES`.
     """
-    cores: List[_McCore] = []
     try:
         for ctx in contexts:
-            plan = _plan(ctx, stepwise=True)
-            if isinstance(plan, str):
-                _decline("multicore:" + plan)
+            reason = _gate(ctx)
+            if reason is not None:
+                _decline("multicore:" + reason)
                 return False
-            cores.append(_McCore(ctx, plan))
+        plans: List[native.NativePlan] = []
+        for ctx in contexts:
+            plan = _native_plan(ctx)
+            if plan is None:
+                break
+            plans.append(plan)
+        cores = ([] if len(plans) == len(contexts) else
+                 [_McCore(ctx, _build(ctx, stepwise=True))
+                  for ctx in contexts])
     except Exception as exc:  # noqa: BLE001 — build failure means oracle
         if os.environ.get("REPRO_KERNEL_DEBUG"):
             raise
         _decline(f"multicore:build-error:{type(exc).__name__}")
         return False
+    if not cores:
+        counts = native.run_multicore(contexts, plans)
+        if counts is not None:
+            for ctx, cnt in zip(contexts, counts):
+                _fold_native(ctx, cnt)
+            return True
+        # Unexportable predictor state: nothing ran, use the python pass.
+        cores = [_McCore(ctx, _build(ctx, stepwise=True))
+                 for ctx in contexts]
     # Mirror of simulate_multicore's oracle loop: full rounds with the
     # completion check between them, so shared LLC/DRAM state evolves
     # in exactly the oracle's interleaving.

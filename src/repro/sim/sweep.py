@@ -376,7 +376,7 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
               traces: Optional[TraceCache] = None,
               runner: Optional[ResilientRunner] = None,
               checkpoint_every: Optional[int] = None,
-              engine: str = "python",
+              engine: str = "kernel",
               store: Optional[Union[ResultStore, str, Path]] = None
               ) -> List[dict]:
     """Run the grid; returns one dict per combination, FIELDS keys.
@@ -438,8 +438,8 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     must never enter — or be served from — the store).
 
     ``engine`` selects the replay implementation for every cell and
-    baseline run (``"python"`` oracle or the byte-identical
-    ``"kernel"`` array engine — see ``repro.sim.kernel``); because the
+    baseline run: the byte-identical ``"kernel"`` (default; see
+    ``repro.sim.kernel``) or the ``"python"`` oracle; because the
     kernel is oracle-equivalent, the CSV is identical either way.
     Engine is deliberately *excluded* from the store digest for the
     same reason.

@@ -21,6 +21,7 @@ integer environment overrides.
 import dataclasses
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from repro.sim import (
     simulate,
 )
 from repro.sim import kernel as kernel_mod
+from repro.sim import native
 from repro.sim.driver import (
     _CoreContext,
     _replay_range,
@@ -52,7 +54,7 @@ from repro.sim.faults import (
     parse_fault,
     poison_predictor,
 )
-from repro.sim.kernel import decline_counts, make_engine
+from repro.sim.kernel import decline_counts, make_engine, run_multicore_kernel
 from repro.workloads.substrate import KernelMemo
 from repro.workloads.trace import MemoryCondition
 
@@ -65,6 +67,28 @@ def _clean_armed_channel():
     clear_armed()
     yield
     clear_armed()
+
+
+def _force_python_pass(monkeypatch):
+    """Make the native loader refuse, so the kernel runs the python pass."""
+    def unavailable():
+        raise native.NativeUnavailable("disabled")
+    monkeypatch.setattr(native, "load", unavailable)
+
+
+def _require_native():
+    """Skip unless the native pass builds on this box."""
+    try:
+        native.load()
+    except native.NativeUnavailable as exc:
+        pytest.skip(f"native pass unavailable: {exc}")
+
+
+def _oracle_declines():
+    """Declines that leave a run to the oracle (``native:`` ones run
+    the python pass, which is still the kernel)."""
+    return {k: n for k, n in decline_counts().items()
+            if not k.startswith("native:")}
 
 
 def fingerprint(result):
@@ -95,7 +119,7 @@ def _grid():
                          ids=[name for name, _ in _grid()])
 def test_kernel_is_byte_identical_across_grid(name, system):
     trace = CACHE.get("perlbench", N)
-    python = simulate(trace, system)
+    python = simulate(trace, system, engine="python")
     kernel = simulate(trace, system, engine="kernel")
     assert fingerprint(kernel) == fingerprint(python)
 
@@ -105,7 +129,7 @@ def test_kernel_is_byte_identical_across_grid(name, system):
 def test_kernel_identical_across_memory_conditions(condition):
     trace = CACHE.get("mcf", N, condition=condition)
     system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
-    python = simulate(trace, system)
+    python = simulate(trace, system, engine="python")
     kernel = simulate(trace, system, engine="kernel")
     assert fingerprint(kernel) == fingerprint(python)
 
@@ -116,14 +140,15 @@ def _never_called(ctx, start, end):
 
 def _engine_matches_python(system, trace):
     """Build, replay the whole trace, compare with the python engine."""
-    before = decline_counts()
+    before = _oracle_declines()
     ctx = _CoreContext(system, trace)
     engine = make_engine(ctx, _never_called)
     assert engine is not None
     engine.replay(ctx, 0, ctx._len)
     ctx.completed_once = True
-    assert decline_counts() == before
-    assert fingerprint(ctx.result()) == fingerprint(simulate(trace, system))
+    assert _oracle_declines() == before
+    assert fingerprint(ctx.result()) == fingerprint(
+        simulate(trace, system, engine="python"))
 
 
 def test_kernel_engages_and_stays_synced():
@@ -148,7 +173,7 @@ def test_kernel_declines_are_counted_by_reason():
     before = decline_counts().get("idb-page-bound", 0)
     assert make_engine(ctx, _replay_range) is None
     assert decline_counts()["idb-page-bound"] == before + 1
-    python = simulate(trace, system)
+    python = simulate(trace, system, engine="python")
     kernel = simulate(trace, system, engine="kernel")
     assert fingerprint(kernel) == fingerprint(python)
     assert decline_counts()["idb-page-bound"] == before + 2
@@ -156,6 +181,7 @@ def test_kernel_declines_are_counted_by_reason():
 
 def test_kernel_debug_reraises_build_errors(monkeypatch):
     """REPRO_KERNEL_DEBUG=1 surfaces a swallowed build exception."""
+    _force_python_pass(monkeypatch)
     system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
     trace = CACHE.get("perlbench", N)
 
@@ -192,7 +218,7 @@ def test_kernel_memo_is_lru_bounded(monkeypatch):
 def test_kernel_interval_series_identical():
     trace = CACHE.get("calculix", N)
     system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
-    python = simulate(trace, system, interval=700)
+    python = simulate(trace, system, interval=700, engine="python")
     kernel = simulate(trace, system, interval=700, engine="kernel")
     assert kernel.intervals == python.intervals
     assert fingerprint(kernel) == fingerprint(python)
@@ -201,7 +227,7 @@ def test_kernel_interval_series_identical():
 def test_kernel_checkpointed_replay_identical(tmp_path):
     trace = CACHE.get("mcf", N)
     system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
-    python = simulate(trace, system)
+    python = simulate(trace, system, engine="python")
     kernel = simulate(trace, system, checkpoint_every=500,
                       checkpoint_path=tmp_path / "cell.json",
                       engine="kernel")
@@ -212,7 +238,7 @@ def test_kernel_crash_resume_identical(tmp_path):
     """Kill a kernel run mid-trace; a kernel resume matches python."""
     trace = CACHE.get("povray", N)
     system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
-    plain = simulate(trace, system)
+    plain = simulate(trace, system, engine="python")
     ck = tmp_path / "cell.json"
     arm_fault("sim_crash", 1300)
     with pytest.raises(WorkerCrash):
@@ -277,7 +303,7 @@ def test_kernel_poisoned_predictor_fails_like_python():
     system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
     arm_data_specs([parse_fault("poison_predictor@0")])
     with pytest.raises(SimulationError):
-        simulate(trace, system)
+        simulate(trace, system, engine="python")
     arm_data_specs([parse_fault("poison_predictor@0")])
     with pytest.raises(SimulationError):
         simulate(trace, system, engine="kernel")
@@ -285,7 +311,7 @@ def test_kernel_poisoned_predictor_fails_like_python():
     # state and the oracle raises its own error at the same entry.
     arm_data_specs([parse_fault("poison_predictor@0x3")])
     with pytest.raises(SimulationError) as python:
-        simulate(trace, system)
+        simulate(trace, system, engine="python")
     before = decline_counts().get("predictor-state", 0)
     arm_data_specs([parse_fault("poison_predictor@0x3")])
     with pytest.raises(SimulationError) as kernel:
@@ -461,7 +487,8 @@ def test_multicore_kernel_accepted_and_identical(kind):
     traces = [CACHE.get("mcf", 1500, seed=1),
               CACHE.get("calculix", 900, seed=2)]
     python = [fingerprint(r)
-              for r in simulate_multicore(traces, system)]
+              for r in simulate_multicore(traces, system,
+                                          engine="python")]
     before = sum(n for k, n in decline_counts().items()
                  if k.startswith("multicore:"))
     kernel = [fingerprint(r)
@@ -491,8 +518,257 @@ def test_fuzz_multicore_kernel_matches_python(kind, n_cores, seed, n):
     traces = [CACHE.get(apps[i], n + 73 * i, seed=seed + i)
               for i in range(n_cores)]
     python = [fingerprint(r)
-              for r in simulate_multicore(traces, system)]
+              for r in simulate_multicore(traces, system,
+                                          engine="python")]
     kernel = [fingerprint(r)
               for r in simulate_multicore(traces, system,
                                           engine="kernel")]
     assert kernel == python
+
+
+# ---------------------------------------------------------------------
+# The native pass: engagement, build cache, exactness traps
+# ---------------------------------------------------------------------
+
+def test_native_pass_engages():
+    """Within the envelope the C pass runs: no ``native:`` decline."""
+    _require_native()
+    before = decline_counts()
+    trace = CACHE.get("mcf", N)
+    for system in (ooo_system(SIPT_GEOMETRIES["32K_2w"]),
+                   inorder_system(SIPT_GEOMETRIES["64K_4w"])):
+        assert fingerprint(simulate(trace, system, engine="kernel")) == \
+            fingerprint(simulate(trace, system, engine="python"))
+    assert decline_counts() == before
+
+
+def _private_cache(monkeypatch, tmp_path):
+    """Point the library cache at fresh directories, as a new box has."""
+    dirs = (tmp_path / "pycache", tmp_path / "xdg")
+    monkeypatch.setattr(native, "_cache_dirs", lambda: dirs)
+    monkeypatch.setattr(native, "_LIBS", {})
+    return dirs
+
+
+def test_missing_compiler_declines_byte_identically(monkeypatch, tmp_path):
+    _private_cache(monkeypatch, tmp_path)
+    monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+    trace = CACHE.get("perlbench", N)
+    system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
+    before = decline_counts().get("native:no-compiler", 0)
+    kernel = simulate(trace, system, engine="kernel")
+    assert fingerprint(kernel) == fingerprint(
+        simulate(trace, system, engine="python"))
+    assert decline_counts()["native:no-compiler"] == before + 1
+    monkeypatch.setenv("REPRO_KERNEL_DEBUG", "1")
+    with pytest.raises(native.NativeUnavailable, match="no-compiler"):
+        make_engine(_CoreContext(system, trace))
+
+
+def _counting_compile(monkeypatch):
+    calls = []
+    compile_ = native._compile
+
+    def counted(compiler, path):
+        calls.append(path)
+        compile_(compiler, path)
+    monkeypatch.setattr(native, "_compile", counted)
+    return calls
+
+
+def test_second_load_reuses_cached_library(monkeypatch, tmp_path):
+    _require_native()
+    dirs = _private_cache(monkeypatch, tmp_path)
+    calls = _counting_compile(monkeypatch)
+    native.load()
+    assert len(calls) == 1 and calls[0].parent == dirs[0]
+    monkeypatch.setattr(native, "_LIBS", {})   # as a new process would
+    native.load()
+    assert len(calls) == 1
+
+
+def test_unwritable_cache_falls_back_then_declines(monkeypatch, tmp_path):
+    """The package cache first, ``$XDG_CACHE_HOME`` next, else decline."""
+    _require_native()
+    blocker = tmp_path / "file"
+    blocker.write_text("")   # a directory cannot be made under a file
+    dirs = (blocker / "pycache", tmp_path / "xdg")
+    monkeypatch.setattr(native, "_cache_dirs", lambda: dirs)
+    monkeypatch.setattr(native, "_LIBS", {})
+    calls = _counting_compile(monkeypatch)
+    native.load()
+    assert [p.parent for p in calls] == [dirs[1]]
+
+    monkeypatch.setattr(native, "_cache_dirs",
+                        lambda: (blocker / "a", blocker / "b"))
+    monkeypatch.setattr(native, "_LIBS", {})
+    with pytest.raises(native.NativeUnavailable, match="no-cache-dir"):
+        native.load()
+
+
+def test_truncated_library_is_rebuilt_or_declined(monkeypatch, tmp_path):
+    """A damaged cache entry is never loaded: rebuilt, else declined.
+
+    Each damaged copy sits in a directory this process never loaded a
+    library from, as it would for a new process (a library is only
+    ever replaced, never truncated in place, while mapped).
+    """
+    _require_native()
+    _private_cache(monkeypatch, tmp_path / "good")
+    calls = _counting_compile(monkeypatch)
+    native.load()
+    built = calls[0]
+    data = built.read_bytes()
+    sidecar = Path(f"{built}.sha256").read_text()
+
+    def damaged(name: str, keep: int):
+        dirs = _private_cache(monkeypatch, tmp_path / name)
+        dirs[0].mkdir(parents=True)
+        path = dirs[0] / built.name
+        path.write_bytes(data[:keep])
+        Path(f"{path}.sha256").write_text(sidecar)
+        return path
+
+    path = damaged("half", len(data) // 2)
+    native.load()
+    assert calls[-1] == path and path.read_bytes() == data
+
+    damaged("third", len(data) // 3)
+
+    def broken(compiler, path):
+        raise native.NativeUnavailable("build-failed", "forced")
+    monkeypatch.setattr(native, "_compile", broken)
+    trace = CACHE.get("perlbench", N)
+    system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
+    before = decline_counts().get("native:build-failed", 0)
+    assert fingerprint(simulate(trace, system, engine="kernel")) == \
+        fingerprint(simulate(trace, system, engine="python"))
+    assert decline_counts()["native:build-failed"] == before + 1
+
+
+def test_walker_address_wraps_like_unbounded_ints():
+    """Leaf-level ``prefix * 0x9E3779B1`` exceeds 2**64 at these VAs.
+
+    The C walker computes it in uint64 wraparound; only the low 28
+    bits survive the oracle's modulus, so every walker load must hit
+    the same page-table address (LLC/DRAM state and stats equal).
+    """
+    _require_native()
+    trace = CACHE.get("mcf", N)
+    top = int(trace.va.max())
+    assert top >= 1 << 44
+    assert (top >> 12) * 0x9E3779B1 >= 1 << 64
+    system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
+    oracle = _CoreContext(system, trace)
+    _replay_range(oracle, 0, oracle._len)
+    ctx = _CoreContext(system, trace)
+    make_engine(ctx, _never_called).replay(ctx, 0, ctx._len)
+    assert ctx.l1.tlb.walker.stats.walks > 0
+    assert ctx.state_dict() == oracle.state_dict()
+
+
+def test_native_multicore_wraps_unequal_traces():
+    """Recycled passes wrap inside the C round-robin exactly as
+    ``ctx.step()`` does: same end positions, state and results."""
+    from repro.cache.set_assoc import SetAssociativeCache
+    from repro.timing.dram import DramModel
+    _require_native()
+    system = _MC_FUZZ_SYSTEMS["ooo"]
+    traces = [CACHE.get("mcf", 1500, seed=1),
+              CACHE.get("calculix", 400, seed=2)]
+
+    def contexts():
+        llc = SetAssociativeCache(system.llc_capacity * len(traces),
+                                  system.l1.line_size, system.llc_ways,
+                                  name="LLC")
+        dram = DramModel()
+        return [_CoreContext(system, t, llc, dram) for t in traces]
+
+    oracle = contexts()
+    while not all(ctx.completed_once for ctx in oracle):
+        for ctx in oracle:
+            ctx.step()
+    before = decline_counts()
+    kernel = contexts()
+    assert run_multicore_kernel(kernel)
+    assert decline_counts() == before
+    assert [ctx.position for ctx in kernel] == \
+        [ctx.position for ctx in oracle]
+    assert kernel[1].position != 0   # the short traces wrapped mid-pass
+    for got, want in zip(kernel, oracle):
+        assert got.state_dict() == want.state_dict()
+        assert fingerprint(got.result()) == fingerprint(want.result())
+
+
+def test_long_history_declines_to_python_pass():
+    """A global history past 63 bits does not fit the C pass's mask."""
+    system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
+    trace = CACHE.get("calculix", N)
+
+    def widened():
+        ctx = _CoreContext(system, trace)
+        perc = ctx.l1.perceptron
+        perc._history[:] = [1] * 64
+        for row in perc._weights:
+            row[:] = [0] * 65
+        return ctx
+
+    oracle = widened()
+    _replay_range(oracle, 0, oracle._len)
+    ctx = widened()
+    before = decline_counts().get("native:history-too-long", 0)
+    make_engine(ctx, _never_called).replay(ctx, 0, ctx._len)
+    assert decline_counts()["native:history-too-long"] == before + 1
+    assert ctx.state_dict() == oracle.state_dict()
+
+
+def test_native_source_ships_as_package_data():
+    pyproject = (Path(__file__).resolve().parents[1]
+                 / "pyproject.toml").read_text()
+    assert '"repro.sim" = ["*.c"]' in pyproject
+    assert native._SOURCE.is_file()
+
+
+# ---------------------------------------------------------------------
+# The same equivalence checks on the python pass
+# ---------------------------------------------------------------------
+
+class TestPythonPass:
+    """Every oracle-equivalence check again, on the python pass.
+
+    The tests above run the native pass wherever it builds; here the
+    loader refuses (``native:disabled``), so the kernel runs the
+    exec-compiled python pass that the detailed core and compiler-less
+    boxes use.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _python_pass(self, monkeypatch):
+        _force_python_pass(monkeypatch)
+
+    test_kernel_is_byte_identical_across_grid = staticmethod(
+        test_kernel_is_byte_identical_across_grid)
+    test_kernel_identical_across_memory_conditions = staticmethod(
+        test_kernel_identical_across_memory_conditions)
+    test_kernel_engages_and_stays_synced = staticmethod(
+        test_kernel_engages_and_stays_synced)
+    test_kernel_interval_series_identical = staticmethod(
+        test_kernel_interval_series_identical)
+    test_kernel_checkpointed_replay_identical = staticmethod(
+        test_kernel_checkpointed_replay_identical)
+    test_kernel_crash_resume_identical = staticmethod(
+        test_kernel_crash_resume_identical)
+    test_kernel_fresh_engine_continues_restored_state = staticmethod(
+        test_kernel_fresh_engine_continues_restored_state)
+    test_kernel_poisoned_predictor_fails_like_python = staticmethod(
+        test_kernel_poisoned_predictor_fails_like_python)
+    test_chunked_replay_cursor_matches_full_replay = staticmethod(
+        test_chunked_replay_cursor_matches_full_replay)
+    test_cold_cursor_mid_trace_start_matches = staticmethod(
+        test_cold_cursor_mid_trace_start_matches)
+    test_multicore_kernel_accepted_and_identical = staticmethod(
+        test_multicore_kernel_accepted_and_identical)
+    test_fuzz_three_replay_paths_agree = staticmethod(
+        test_fuzz_three_replay_paths_agree)
+    test_fuzz_multicore_kernel_matches_python = staticmethod(
+        test_fuzz_multicore_kernel_matches_python)
