@@ -118,15 +118,15 @@ class PhysicalMemory:
         if length <= 0:
             raise ValueError("length must be positive")
         n_pages = -(-length // PAGE_SIZE)
-        frames = []
         try:
-            for _ in range(n_pages):
-                frames.append(self.buddy.allocate(0))
-        except OutOfMemoryError:
-            for frame in frames:
-                self.buddy.free(frame, 0)
+            runs = self.buddy.allocate_frames(n_pages)
+        except OutOfMemoryError as exc:
+            for base, n in exc.runs:
+                for frame in range(base, base + n):
+                    self.buddy.free(frame, 0)
             raise MemoryError("physical memory exhausted") from None
-        return SharedSegment(frames=frames)
+        return SharedSegment(frames=[frame for base, n in runs
+                                     for frame in range(base, base + n)])
 
     def destroy_shared_segment(self, segment: SharedSegment) -> None:
         """Return a segment's frames; caller must have unmapped it."""
@@ -294,13 +294,80 @@ class Process:
     def populate(self, region: VmRegion) -> None:
         """Touch every page of ``region`` in address order (eager paging).
 
-        ``region`` must be one of this process's regions; faults go
-        straight to it instead of searching the region list per page.
+        ``region`` must be one of this process's regions. The result —
+        page table, frames, allocator state and :class:`VmStats` — is
+        exactly that of faulting each page in address order, but the
+        region is walked one 2 MiB window (its part of an aligned
+        chunk) at a time:
+
+        * an untouched window that spans a whole THP-eligible chunk
+          takes one order-9 allocation, as its first page's fault would;
+        * any other untouched window (or one whose order-9 allocation
+          failed) takes its frames in one
+          :meth:`~repro.mem.buddy.BuddyAllocator.allocate_frames` call,
+          which hands out what the per-page ``allocate(0)`` calls would;
+        * a window that already holds mappings, and every window of a
+          process with page coloring on, faults page by page.
         """
-        lookup = self.page_table.lookup
-        for va in range(region.start, region.end, PAGE_SIZE):
-            if lookup(va >> PAGE_SHIFT) is None:
-                self._handle_fault(va, region)
+        start_vpn = page_number(region.start)
+        end_vpn = start_vpn + region.length // PAGE_SIZE
+        if self.coloring_bits > 0:
+            self._fault_pages(start_vpn, end_vpn, region)
+            return
+        maps_any = self.page_table.maps_any
+        thp = self.memory.thp_enabled and region.thp_eligible
+        vpn = start_vpn
+        while vpn < end_vpn:
+            stop = min((vpn | (PAGES_PER_HUGE_PAGE - 1)) + 1, end_vpn)
+            if maps_any(range(vpn, stop)):
+                self._fault_pages(vpn, stop, region)
+            elif not (thp and stop - vpn == PAGES_PER_HUGE_PAGE
+                      and self._map_huge(vpn)):
+                self._map_base_run(vpn, stop - vpn)
+            vpn = stop
+
+    def _fault_pages(self, vpn: int, stop: int, region: VmRegion) -> None:
+        """Fault in the unmapped pages of ``[vpn, stop)`` one by one."""
+        table = self.page_table
+        for page in range(vpn, stop):
+            if page not in table:
+                self._handle_fault(page << PAGE_SHIFT, region)
+
+    def _map_huge(self, first_vpn: int) -> bool:
+        """One huge fault for an untouched chunk; False if no block."""
+        base = self.memory.buddy.try_allocate(HUGE_PAGE_ORDER)
+        if base is None:
+            return False
+        self.page_table.map_run(first_vpn, base, PAGES_PER_HUGE_PAGE,
+                                huge=True)
+        self.stats.minor_faults += 1
+        self.stats.huge_page_faults += 1
+        return True
+
+    def _map_base_run(self, vpn: int, count: int) -> None:
+        """``count`` base-page faults of untouched pages from ``vpn``."""
+        stats = self.stats
+        try:
+            runs = self.memory.buddy.allocate_frames(count)
+        except OutOfMemoryError as exc:
+            # The per-page path maps every page it got a frame for and
+            # counts the fault whose allocation failed.
+            done = self._map_runs(vpn, exc.runs)
+            stats.minor_faults += done + 1
+            stats.base_page_faults += done
+            raise MemoryError("physical memory exhausted") from None
+        self._map_runs(vpn, runs)
+        stats.minor_faults += count
+        stats.base_page_faults += count
+
+    def _map_runs(self, vpn: int, runs) -> int:
+        """Map frame runs to consecutive pages from ``vpn``; page count."""
+        map_run = self.page_table.map_run
+        done = 0
+        for base, n in runs:
+            map_run(vpn + done, base, n)
+            done += n
+        return done
 
     def mapped_bytes(self) -> int:
         """Bytes of this process's VA space with present mappings."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 #: Linux's MAX_ORDER is 11: blocks of 2**0 .. 2**10 pages.
 MAX_ORDER = 10
@@ -31,7 +31,17 @@ HUGE_PAGE_ORDER = 9
 
 
 class OutOfMemoryError(Exception):
-    """Raised when an allocation cannot be satisfied at any order."""
+    """Raised when an allocation cannot be satisfied at any order.
+
+    ``runs`` holds the ``(base, n)`` frame runs a failing
+    :meth:`BuddyAllocator.allocate_frames` had already taken: they stay
+    allocated, as the frames of the earlier ``allocate(0)`` calls would.
+    """
+
+    def __init__(self, message: str,
+                 runs: Tuple[Tuple[int, int], ...] = ()):
+        super().__init__(message)
+        self.runs = runs
 
 
 @dataclass
@@ -140,6 +150,61 @@ class BuddyAllocator:
         self._allocated[base] = order
         self.stats.allocations += 1
         return base
+
+    def allocate_frames(self, count: int) -> List[Tuple[int, int]]:
+        """Allocate ``count`` single frames as ascending ``(base, n)`` runs.
+
+        The frames, their order and the allocator state afterwards
+        (free blocks, ``_allocated``, every ``stats`` counter) are
+        exactly those of ``count`` calls of ``allocate(0)``. Those calls
+        pop the lowest free block of the smallest live order ``k``; no
+        block of a lower order exists then, so until that block is used
+        up every later call is served from its split remainder, base
+        upwards. Each popped block is therefore taken from its base in
+        one step, and the untaken tail goes back as the aligned blocks
+        the per-frame splits would have left: greedily, the largest
+        aligned block at each position, i.e. order ``ctz(p - base)``.
+        Each such free block came from one split and each taken frame
+        but the first consumed one, so the splits are ``left + take - 1``
+        per block. Adjacent blocks merge into one run.
+
+        Raises :class:`OutOfMemoryError` when memory runs out part way,
+        with ``failed_allocations`` counted once (the failing call) and
+        the frames taken so far still allocated and listed in the
+        exception's ``runs``.
+        """
+        stats = self.stats
+        live = self._live_counts
+        allocated = self._allocated
+        runs: List[Tuple[int, int]] = []
+        remaining = count
+        while remaining > 0:
+            source = 0
+            while source <= MAX_ORDER and live[source] == 0:
+                source += 1
+            if source > MAX_ORDER:
+                stats.failed_allocations += 1
+                raise OutOfMemoryError("no free block of order >= 0",
+                                       runs=tuple(runs))
+            base = self._pop_free(source)
+            take = min(remaining, 1 << source)
+            end = base + (1 << source)
+            p = base + take
+            left = 0
+            while p < end:
+                order = ((p - base) & (base - p)).bit_length() - 1
+                self._insert_free(p, order)
+                p += 1 << order
+                left += 1
+            stats.splits += left + take - 1
+            stats.allocations += take
+            allocated.update(dict.fromkeys(range(base, base + take), 0))
+            if runs and runs[-1][0] + runs[-1][1] == base:
+                runs[-1] = (runs[-1][0], runs[-1][1] + take)
+            else:
+                runs.append((base, take))
+            remaining -= take
+        return runs
 
     def try_allocate(self, order: int = 0) -> Optional[int]:
         """Like :meth:`allocate` but returns ``None`` instead of raising."""

@@ -158,13 +158,9 @@ class _CoreContext:
         self.completed_once = False
         self.port_conflicts = 0
         self._port_busy = False
-        # The replay loop indexes plain Python lists: indexing a numpy
-        # array returns numpy scalars whose int()/bool() conversion
-        # dominates the per-access cost. The conversions live in the
-        # trace's derived-column store, so sibling cells replaying the
-        # same trace in this process pay them once, not once per cell.
-        (self._pc, self._va, self._is_write,
-         self._gap, self._dep) = columns_for(trace).lists()
+        # The python replay paths index plain lists of the trace's
+        # columns (_pc, _va, _is_write, _gap, _dep), filled on first
+        # use by __getattr__: a native-pass replay never reads them.
         self._len = len(trace)
         self._page_table = trace.process.page_table
         # Pre-bound hot-loop callables and constants: step() runs once
@@ -182,6 +178,26 @@ class _CoreContext:
         # checkpointing) continue one zip instead of re-slicing the
         # columns per chunk, keeping a whole chunked replay O(n).
         self._cursor = None
+
+    #: The replay list attributes, in ``TraceColumns.lists()`` order.
+    _LISTS = ("_pc", "_va", "_is_write", "_gap", "_dep")
+
+    def __getattr__(self, name):
+        """Fill the replay lists on their first read.
+
+        Indexing a numpy array returns numpy scalars whose
+        ``int()``/``bool()`` conversion dominates the per-access cost,
+        so the python replay paths read plain lists. The conversions
+        live in the trace's derived-column store (sibling cells sharing
+        a trace pay them once) and are made only when a python path
+        first asks. Called only for missing attributes, so once the
+        lists are set ``step()`` reads them at no extra cost.
+        """
+        if name not in _CoreContext._LISTS or "trace" not in self.__dict__:
+            raise AttributeError(name)
+        self.__dict__.update(zip(_CoreContext._LISTS,
+                                 columns_for(self.trace).lists()))
+        return self.__dict__[name]
 
     def step(self):
         """Replay one trace record (recycling at the end).

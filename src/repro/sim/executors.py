@@ -440,7 +440,15 @@ class SupervisedPoolExecutor:
                 proc.terminate()
             except OSError:  # pragma: no cover - already gone
                 pass
+        manager = getattr(pool, "_executor_manager_thread", None)
         pool.shutdown(wait=False, cancel_futures=True)
+        # The pool's management thread reaps these same workers. Were a
+        # worker judged while that thread may still be reaping it, our
+        # waitpid could get ECHILD, which multiprocessing reports as
+        # "still running" (and we would kill a reaped pid); so let the
+        # thread finish first.
+        if manager is not None:
+            manager.join(WORKER_REAP_TIMEOUT_S)
         for proc in procs:
             proc.join(WORKER_REAP_TIMEOUT_S)
             if proc.is_alive():

@@ -378,17 +378,13 @@ def _columns(trace):
         if len(va) and (int(va.min()) < 0 or int(pa.min()) < 0):
             memo["native"] = ()
             return None
-        unique, inverse = np.unique(cols.vpn, return_inverse=True)
-        lookup = trace.process.page_table.lookup
-        flags = np.fromiter((lookup(int(v)).huge for v in unique),
-                            dtype=np.uint8, count=len(unique))
         out = memo["native"] = (
             np.ascontiguousarray(trace.inst_gap, dtype=np.int64),
             np.ascontiguousarray(trace.pc, dtype=np.int64), va,
             np.ascontiguousarray(trace.dep_dist, dtype=np.int64),
             np.ascontiguousarray(pa, dtype=np.int64),
             np.ascontiguousarray(trace.is_write, dtype=np.uint8),
-            np.ascontiguousarray(flags[inverse].reshape(-1)))
+            np.ascontiguousarray(cols.huge, dtype=np.uint8).reshape(-1))
     return out or None
 
 

@@ -6,7 +6,8 @@ workflow: a trace's access stream *and* its VA->PA mapping are saved
 together, so a loaded trace replays bit-identically without
 re-simulating the OS memory system.
 
-The page table is flattened to two arrays (vpn, pfn+flags); the process
+The page table is flattened to three arrays (:meth:`PageTable.arrays`:
+vpn, pfn, flags); the process
 restored on load is a read-only shell — sufficient for replay, which
 only translates.
 """
@@ -20,46 +21,10 @@ from typing import Union
 import numpy as np
 
 from ..mem.address_space import PhysicalMemory, Process
-from ..mem.page_table import PageTable, PageTableEntry
+from ..mem.page_table import PageTable
 from .trace import MemoryCondition, Trace
 
 _FORMAT_VERSION = 1
-
-
-def flatten_page_table(table: PageTable):
-    """Flatten a page table to ``(vpns, pfns, flags)`` numpy arrays.
-
-    Flag bits: 1 = huge, 2 = writable. This is the interchange format
-    shared by the ``.npz`` trace files here and the shared-memory
-    substrate (:mod:`repro.workloads.substrate`) — both need the
-    VA->PA mapping as plain arrays a reader can rebuild from. The
-    arrays are sorted by vpn: a canonical order (independent of page
-    fault order) that lets readers binary-search instead of building a
-    dict (see ``substrate.ArrayPageTable``).
-    """
-    vpns = []
-    pfns = []
-    flags = []
-    for vpn, entry in table.entries():
-        vpns.append(vpn)
-        pfns.append(entry.pfn)
-        flags.append((1 if entry.huge else 0)
-                     | (2 if entry.writable else 0))
-    vpn_arr = np.asarray(vpns, dtype=np.int64)
-    order = np.argsort(vpn_arr, kind="stable")
-    return (vpn_arr[order],
-            np.asarray(pfns, dtype=np.int64)[order],
-            np.asarray(flags, dtype=np.int8)[order])
-
-
-def build_page_table(vpns, pfns, flags, asid: int) -> PageTable:
-    """Rebuild a page table from :func:`flatten_page_table` arrays."""
-    table = PageTable(asid=asid)
-    for vpn, pfn, flag in zip(vpns, pfns, flags):
-        table.map_page(int(vpn), int(pfn),
-                       huge=bool(flag & 1),
-                       writable=bool(flag & 2))
-    return table
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
@@ -70,7 +35,7 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
-    vpns, pfns, flags = flatten_page_table(trace.process.page_table)
+    vpns, pfns, flags = trace.process.page_table.arrays()
     meta = {
         "version": _FORMAT_VERSION,
         "app": trace.app,
@@ -100,7 +65,7 @@ class ReplayProcess(Process):
         self.regions = []
         self._next_va = self.HEAP_BASE
 
-    def touch(self, va: int) -> int:  # pragma: no cover - guard only
+    def touch(self, va: int) -> int:
         raise RuntimeError("replayed traces are read-only; "
                            "cannot fault new pages")
 
@@ -117,8 +82,8 @@ def load_trace(path: Union[str, Path]) -> Trace:
         if meta.get("version") != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported trace format version {meta.get('version')}")
-        table = build_page_table(data["vpns"], data["pfns"],
-                                 data["flags"], asid=int(meta["asid"]))
+        table = PageTable.from_arrays(data["vpns"], data["pfns"],
+                                      data["flags"], asid=int(meta["asid"]))
         return Trace(
             app=meta["app"],
             condition=MemoryCondition(meta["condition"]),

@@ -33,7 +33,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..errors import TraceError
-from ..mem.address import PAGE_SIZE
+from ..mem.address import PAGE_SHIFT, PAGE_SIZE
 from ..mem.address_space import PhysicalMemory, Process, VmRegion
 from ..mem.fragmentation import fragment_memory
 from .patterns import BLOCK, pattern_blocks
@@ -248,6 +248,10 @@ def generate_trace(app: str, n_accesses: int,
 
     Deterministic for a given (app, condition, seed). Pass ``memory`` to
     allocate several apps in one shared physical memory (multicore runs).
+    The memory image is built run by run (:meth:`Process.populate`
+    takes each 2 MiB window's frames in one buddy call and maps them
+    in one page-table update), and ``huge_fraction`` is read from the
+    page table once per distinct page (:meth:`PageTable.gather`).
     """
     if n_accesses <= 0:
         raise TraceError(f"n_accesses must be positive, got {n_accesses}",
@@ -313,12 +317,8 @@ def generate_trace(app: str, n_accesses: int,
     pc = (0x400000 + component * 0x100000
           + 4 * ((va - Process.HEAP_BASE) >> 15))
     dep_dist = (dep_draw * dep_means[component]).astype(np.int32)
-    huge_hits = 0
-    vpns, counts = np.unique(va >> 12, return_counts=True)
-    for vpn, count in zip(vpns.tolist(), counts.tolist()):
-        entry = process.page_table.lookup(vpn)
-        if entry is not None and entry.huge:
-            huge_hits += count
+    _, huge = process.page_table.gather(va >> PAGE_SHIFT)
+    huge_hits = int(np.count_nonzero(huge))
 
     return Trace(
         app=app,

@@ -1,5 +1,8 @@
 """Unit and property tests for the buddy allocator."""
 
+import copy
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,3 +131,79 @@ def test_property_alloc_free_never_corrupts(orders, rnd):
         buddy.free(base, order)
     buddy.check_invariants()
     assert buddy.free_frames() == 1 << 12
+
+
+# ---------------------------------------------------------------------
+# allocate_frames: run-granular, equal to per-frame allocate(0)
+# ---------------------------------------------------------------------
+
+def buddy_state(buddy):
+    """Everything observable about an allocator, for equality checks."""
+    return (buddy.free_blocks_by_order(), dict(buddy._free_blocks),
+            dict(buddy._allocated), buddy.free_frames(),
+            dataclasses.astuple(buddy.stats))
+
+
+def frames_one_by_one(buddy, count):
+    """``count`` allocate(0) calls; the frames got and whether all came."""
+    frames = []
+    for _ in range(count):
+        try:
+            frames.append(buddy.allocate(0))
+        except OutOfMemoryError:
+            return frames, False
+    return frames, True
+
+
+def flatten_runs(runs):
+    return [frame for base, n in runs for frame in range(base, base + n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1 << 10, 1 << 11, 1000, 1536 + 7]),
+       st.lists(st.integers(min_value=0, max_value=7), max_size=40),
+       st.integers(min_value=0, max_value=2100),
+       st.randoms(use_true_random=False))
+def test_allocate_frames_equals_per_frame_allocation(total, orders, count,
+                                                     rnd):
+    """After a random allocate/free history, ``allocate_frames(n)``
+    hands out the frames of n ``allocate(0)`` calls and leaves the
+    allocator in the same state — also when memory runs out part way."""
+    buddy = BuddyAllocator(total)
+    live = []
+    for order in orders:
+        if live and rnd.random() < 0.4:
+            base, o = live.pop(rnd.randrange(len(live)))
+            buddy.free(base, o)
+        block = buddy.try_allocate(order)
+        if block is not None:
+            live.append((block, order))
+    reference = copy.deepcopy(buddy)
+    want, complete = frames_one_by_one(reference, count)
+    if complete:
+        runs = buddy.allocate_frames(count)
+    else:
+        with pytest.raises(OutOfMemoryError) as exc:
+            buddy.allocate_frames(count)
+        runs = exc.value.runs
+    assert flatten_runs(runs) == want
+    # Runs are maximal: adjacent runs are never contiguous.
+    for (base, n), (next_base, _) in zip(runs, runs[1:]):
+        assert base + n != next_base
+    assert buddy_state(buddy) == buddy_state(reference)
+    buddy.check_invariants()
+    # Both continue identically (lazy heap entries may differ).
+    for order in (0, 3, 9, 0, 1):
+        assert buddy.try_allocate(order) == reference.try_allocate(order)
+    assert buddy_state(buddy) == buddy_state(reference)
+
+
+def test_allocate_frames_splits_one_large_block():
+    buddy = BuddyAllocator(1 << 10)
+    assert buddy.allocate_frames(3) == [(0, 3)]
+    # Left behind: frame 3 (order 0), 4..7 (2), 8..15 (3), ..., 512 (9).
+    assert buddy.free_blocks_by_order() == [1, 0] + [1] * 8 + [0]
+    # Per frame: 10 splits for frame 0, none for 1, one for 2.
+    assert buddy.stats.splits == 11
+    assert buddy.stats.allocations == 3
+    assert buddy.allocate_frames(0) == []

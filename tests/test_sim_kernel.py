@@ -55,7 +55,8 @@ from repro.sim.faults import (
     poison_predictor,
 )
 from repro.sim.kernel import decline_counts, make_engine, run_multicore_kernel
-from repro.workloads.substrate import KernelMemo
+from repro.workloads import generate_trace
+from repro.workloads.substrate import KernelMemo, columns_for
 from repro.workloads.trace import MemoryCondition
 
 CACHE = TraceCache()
@@ -540,6 +541,24 @@ def test_native_pass_engages():
         assert fingerprint(simulate(trace, system, engine="kernel")) == \
             fingerprint(simulate(trace, system, engine="python"))
     assert decline_counts() == before
+
+
+def test_native_pass_leaves_replay_lists_unbuilt():
+    """The python replay lists are built on first read, and a native
+    run never reads them."""
+    _require_native()
+    trace = generate_trace("povray", 1200, seed=11)
+    system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
+    native_run = simulate(trace, system, engine="kernel")
+    assert columns_for(trace)._lists is None
+    ctx = _CoreContext(system, trace)
+    assert "_va" not in vars(ctx)
+    assert ctx._va == trace.va.tolist()
+    assert ctx._dep is columns_for(trace).lists()[4]
+    with pytest.raises(AttributeError):
+        ctx._not_a_column
+    assert fingerprint(simulate(trace, system, engine="python")) == \
+        fingerprint(native_run)
 
 
 def _private_cache(monkeypatch, tmp_path):

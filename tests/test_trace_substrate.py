@@ -5,8 +5,8 @@ The contract under test has three layers:
 * derived columns (``TraceColumns``) are computed once per trace and
   agree with a from-scratch recomputation;
 * a published trace attaches zero-copy in another context and replays
-  to a bit-identical ``SimResult``, with ``ArrayPageTable`` giving the
-  same translations as the original eager page table;
+  to a bit-identical ``SimResult``, with the attached page table giving
+  the same translations as the original eager page table;
 * shared-memory segments never outlive the sweep — clean completion,
   a crashing worker, and ``KeyboardInterrupt`` all leave ``/dev/shm``
   exactly as they found it.
@@ -26,9 +26,8 @@ from repro.sim.experiment import TraceCache
 from repro.sim.resilience import ResilientRunner as _Runner
 from repro.sim.sweep import SweepSpec, run_sweep
 from repro.workloads import generate_trace
-from repro.workloads.storage import flatten_page_table
-from repro.workloads.substrate import ArrayPageTable, TraceStore, attach, \
-    columns_for, trace_fingerprint
+from repro.workloads.substrate import TraceStore, attach, columns_for, \
+    trace_fingerprint
 
 
 @pytest.fixture
@@ -75,29 +74,31 @@ def test_fingerprint_tracks_content():
 
 
 # ---------------------------------------------------------------------
-# ArrayPageTable
+# The attached page table
 # ---------------------------------------------------------------------
 
-def test_array_page_table_matches_eager(trace):
+def test_attached_page_table_matches_eager(trace):
     eager = trace.process.page_table
-    vpns, pfns, flags = flatten_page_table(eager)
-    table = ArrayPageTable(vpns, pfns, flags, asid=eager.asid)
-    assert len(table) == len(list(eager.entries()))
-    for vpn, entry in eager.entries():
-        got = table.lookup(vpn)
-        assert got is not None
-        assert (got.pfn, got.huge, got.writable) == \
-            (entry.pfn, entry.huge, entry.writable)
-    assert table.lookup(max(int(v) for v in vpns) + 999) is None
+    with TraceStore() as store:
+        table = attach(store.publish(trace)).process.page_table
+        assert table is not eager
+        assert table.asid == eager.asid
+        assert len(table) == len(list(eager.entries()))
+        for vpn, entry in eager.entries():
+            assert table.lookup(vpn) == entry
+            assert table.lookup(vpn) is table.lookup(vpn)
+        assert table.lookup(max(vpn for vpn, _ in eager.entries())
+                            + 999) is None
+        for got, want in zip(table.arrays(), eager.arrays()):
+            assert np.array_equal(got, want)
+            assert got.dtype == want.dtype
 
 
-def test_array_page_table_is_read_only(trace):
-    vpns, pfns, flags = flatten_page_table(trace.process.page_table)
-    table = ArrayPageTable(vpns, pfns, flags, asid=1)
-    with pytest.raises(ValueError):
-        table.map_page(12345, 678)
-    with pytest.raises(ValueError):
-        table.unmap_page(int(vpns[0]))
+def test_attached_process_cannot_fault(trace):
+    with TraceStore() as store:
+        twin = attach(store.publish(trace))
+        with pytest.raises(RuntimeError):
+            twin.process.touch(int(trace.va[0]))
 
 
 # ---------------------------------------------------------------------
